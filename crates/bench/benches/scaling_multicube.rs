@@ -245,6 +245,12 @@ fn main() {
     );
     let mut cfg = SystemConfig::paper(true);
     cfg.memory.region_bytes = REGION_BYTES;
+    let link_for = |fabric: usize| {
+        LinkConfig::from_env(fabric).unwrap_or_else(|e| {
+            eprintln!("scaling_multicube: {e}");
+            std::process::exit(2);
+        })
+    };
 
     println!(
         "{:<7} {:<7} {:>6} {:>6} {:>7} {:>12} {:>12} {:>11} {:>11} {:>11} {:>10} {:>12}",
@@ -265,7 +271,7 @@ fn main() {
     for fabric in FABRICS {
         let depth = fabric / 4;
         let (graph, params) = deep_mlp(depth);
-        let link = LinkConfig::from_env(fabric);
+        let link = link_for(fabric);
         let plan = shard_graph(&cfg, &graph, &params, &link).expect("the model shards");
         let p = measure(fabric, depth, plan, &cfg);
         print_point("weak", &p);
@@ -277,7 +283,7 @@ fn main() {
     let (graph, params) = deep_mlp(depth);
     let mut strong: Vec<Point> = Vec::new();
     for fabric in FABRICS {
-        let link = LinkConfig::from_env(fabric);
+        let link = link_for(fabric);
         let plan = shard_graph(&cfg, &graph, &params, &link).expect("the model shards");
         let p = measure(fabric, depth, plan, &cfg);
         print_point("strong", &p);

@@ -79,25 +79,9 @@ pub fn run_inference_mode(
     seed: u64,
     skip: Option<bool>,
 ) -> (RunReport, StatsRegistry, SkipTelemetry) {
-    run_inference_variant(cfg, spec, seed, skip, None)
-}
-
-/// [`run_inference_mode`] with the PE datapath also pinned: `simd =
-/// Some(false)` forces the per-lane scalar `MacUnit` oracle, `Some(true)`
-/// the SoA lane kernels, `None` the process default. The benchmark uses
-/// this to time the scalar column and to assert it is bitwise identical
-/// to the SoA run it reports.
-pub fn run_inference_variant(
-    cfg: SystemConfig,
-    spec: &NetworkSpec,
-    seed: u64,
-    skip: Option<bool>,
-    simd: Option<bool>,
-) -> (RunReport, StatsRegistry, SkipTelemetry) {
     let params = spec.init_params(seed, 0.25);
     let mut cube = Neurocube::new(cfg);
     cube.set_cycle_skip(skip);
-    cube.set_simd(simd);
     let loaded = cube.load(spec.clone(), params);
     let input = ramp_input(spec);
     let (_, report) = cube.run_inference(&loaded, &input);
@@ -120,7 +104,7 @@ pub struct SparsityRun {
     pub stats: StatsRegistry,
 }
 
-/// Like [`run_inference_variant`], but the caller supplies the parameter
+/// Like [`run_inference_mode`], but the caller supplies the parameter
 /// image and input tensor (to control operand density) and pins the PE
 /// zero-operand fast paths: `Some(false)` forces the dense kernels,
 /// `Some(true)` enables skipping, `None` inherits `NEUROCUBE_NO_SPARSITY`.

@@ -8,7 +8,8 @@
 //! * [`link`] — the fabric model: [`ClusterTopology`] (ring / 2D mesh),
 //!   [`LinkConfig`] (bandwidth, latency, pJ/bit, with
 //!   `NEUROCUBE_CLUSTER_*` environment overrides read fresh per
-//!   construction), and the cycle/Joule charge formulas shared with
+//!   construction and rejected with a typed [`LinkConfigError`] when out
+//!   of range), and the cycle/Joule charge formulas shared with
 //!   `neurocube_golden::timing` and `neurocube_power::hmc`.
 //! * [`shard`] — the planner: [`shard_graph`] cuts a validated
 //!   [`GraphSpec`](neurocube_nn::GraphSpec) into pipeline stages and
@@ -28,5 +29,5 @@ pub mod link;
 pub mod shard;
 
 pub use exec::{Cluster, ClusterReport};
-pub use link::{ClusterTopology, LinkConfig};
+pub use link::{ClusterTopology, LinkConfig, LinkConfigError};
 pub use shard::{shard_graph, ShardPart, ShardStage, ShardedGraph};

@@ -15,6 +15,7 @@
 
 use neurocube_golden::{link_serialization_cycles, link_transfer_cycles};
 use neurocube_power::hmc::{serdes_transfer_j, SERDES_PJ_PER_BIT};
+use std::fmt;
 
 /// How the member cubes are wired together.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,27 +122,39 @@ impl LinkConfig {
     /// knobs applied — read fresh on every call (no caching), so tests can
     /// set and unset them per construction.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `NEUROCUBE_CLUSTER_TOPOLOGY` is set to something
-    /// [`ClusterTopology::parse`] rejects — a misconfiguration, not a
-    /// condition to silently default away.
-    pub fn from_env(cubes: usize) -> LinkConfig {
+    /// Returns a [`LinkConfigError`] when a set knob is out of range: a
+    /// topology [`ClusterTopology::parse`] rejects, a bandwidth that is
+    /// not finite and positive (zero or negative bandwidth would make
+    /// links free or overflow the cycle arithmetic), or a latency or
+    /// energy that is negative or not finite. A misconfiguration is
+    /// reported, never silently defaulted away.
+    pub fn from_env(cubes: usize) -> Result<LinkConfig, LinkConfigError> {
         let mut link = LinkConfig::hmc_ext(cubes);
         if let Some(s) = neurocube_sim::env::cluster_topology() {
-            link.topology = ClusterTopology::parse(&s, cubes)
-                .unwrap_or_else(|| panic!("NEUROCUBE_CLUSTER_TOPOLOGY: unrecognized value {s:?}"));
+            link.topology =
+                ClusterTopology::parse(&s, cubes).ok_or(LinkConfigError::Topology(s))?;
         }
         if let Some(g) = neurocube_sim::env::cluster_link_gbps() {
+            if !(g.is_finite() && g > 0.0) {
+                return Err(LinkConfigError::Bandwidth(g));
+            }
             link.bandwidth_gbps = g;
         }
         if let Some(ns) = neurocube_sim::env::cluster_link_ns() {
+            if !(ns.is_finite() && ns >= 0.0) {
+                return Err(LinkConfigError::Latency(ns));
+            }
             link.latency_ns = ns;
         }
         if let Some(pj) = neurocube_sim::env::cluster_pj_bit() {
+            if !(pj.is_finite() && pj >= 0.0) {
+                return Err(LinkConfigError::Energy(pj));
+            }
             link.pj_per_bit = pj;
         }
-        link
+        Ok(link)
     }
 
     /// Reference-clock cycles for `bytes` to cross `hops` links (pacing
@@ -162,6 +175,47 @@ impl LinkConfig {
         serdes_transfer_j(bytes, hops, self.pj_per_bit)
     }
 }
+
+/// A `NEUROCUBE_CLUSTER_*` knob holding a value the link model cannot
+/// use (see [`LinkConfig::from_env`]).
+#[derive(Clone, Debug, PartialEq)]
+pub enum LinkConfigError {
+    /// `NEUROCUBE_CLUSTER_TOPOLOGY` names no topology that fits the
+    /// cluster.
+    Topology(String),
+    /// `NEUROCUBE_CLUSTER_LINK_GBPS` is not finite and positive.
+    Bandwidth(f64),
+    /// `NEUROCUBE_CLUSTER_LINK_NS` is negative or not finite.
+    Latency(f64),
+    /// `NEUROCUBE_CLUSTER_PJ_BIT` is negative or not finite.
+    Energy(f64),
+}
+
+impl fmt::Display for LinkConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LinkConfigError::Topology(s) => write!(
+                f,
+                "NEUROCUBE_CLUSTER_TOPOLOGY: unrecognized value {s:?} \
+                 (valid: ring, mesh, meshWxH covering the cluster)"
+            ),
+            LinkConfigError::Bandwidth(g) => write!(
+                f,
+                "NEUROCUBE_CLUSTER_LINK_GBPS: {g} is not a finite positive bandwidth"
+            ),
+            LinkConfigError::Latency(ns) => write!(
+                f,
+                "NEUROCUBE_CLUSTER_LINK_NS: {ns} is not a finite non-negative latency"
+            ),
+            LinkConfigError::Energy(pj) => write!(
+                f,
+                "NEUROCUBE_CLUSTER_PJ_BIT: {pj} is not a finite non-negative energy"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LinkConfigError {}
 
 #[cfg(test)]
 mod tests {

@@ -12,10 +12,7 @@ use neurocube_pe::ProcessingElement;
 use neurocube_png::layout::NetworkLayout;
 use neurocube_png::{compile_graph, compile_layer, graph_load_weights, LayerProgram, Png};
 use neurocube_png::{program, CompileError, MultiLayerProgram, PngHookup};
-use neurocube_sim::{
-    simd_default, sparsity_default, stage_par_default, Clocked, CycleLoop, StatSource,
-    StatsRegistry,
-};
+use neurocube_sim::{sparsity_default, Clocked, CycleLoop, StatSource, StatsRegistry};
 use std::sync::Arc;
 
 /// A network loaded into the cube: its placement, parameters and compiled
@@ -107,9 +104,6 @@ pub struct Neurocube {
     /// exactly one copy of the credit state. Initialized to `u64::MAX`
     /// per node — the "no progress seen" value that never gates.
     progress: Vec<u64>,
-    /// Stage-parallel PE ticking: resolved from `NEUROCUBE_STAGE_PAR` at
-    /// construction, overridable per cube via [`Neurocube::set_stage_par`].
-    stage_par: bool,
     /// Per-cube override of the fast-forward default (`NEUROCUBE_NO_SKIP`);
     /// `None` inherits the process default.
     skip_override: Option<bool>,
@@ -126,6 +120,10 @@ pub struct Neurocube {
     /// `None` for linear runs, which leaves the sequencer inert and every
     /// per-layer run bitwise identical to a build without it.
     graph_run: Option<GraphRun>,
+    /// The order [`PeTick`] visits the nodes in; `None` is ascending.
+    /// Tests permute it to prove the PEs independent within a tick.
+    #[cfg(test)]
+    pe_order: Option<Vec<u8>>,
 }
 
 impl Neurocube {
@@ -202,12 +200,13 @@ impl Neurocube {
             attach_groups,
             now: 0,
             progress: vec![u64::MAX; nodes],
-            stage_par: stage_par_default(),
             skip_override: None,
             horizon_jumps: 0,
             skipped_cycles: 0,
             faults: None,
             graph_run: None,
+            #[cfg(test)]
+            pe_order: None,
         };
         // Environment default: NEUROCUBE_FAULT_RATE / _SEED / _ECC attach
         // an injector at construction (explicit `set_fault_config` wins).
@@ -306,30 +305,6 @@ impl Neurocube {
         self.skip_override = enabled;
     }
 
-    /// Selects every PE's MAC arithmetic path: `Some(true)` forces the SoA
-    /// batch kernels, `Some(false)` forces the per-lane scalar `MacUnit`
-    /// oracle, `None` re-reads the `NEUROCUBE_NO_SIMD` environment default
-    /// fresh (never a cached value, so tests that restore the variable get
-    /// the restored behaviour). Both paths are bitwise identical in every
-    /// observable — the equivalence suite runs the same workload down each
-    /// and compares full registries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any PE is mid-layer (call between runs, not during one).
-    pub fn set_simd(&mut self, simd: Option<bool>) {
-        for pe in &mut self.pes {
-            pe.set_simd(simd);
-        }
-    }
-
-    /// Whether the PEs currently use the SoA batch kernels.
-    pub fn simd(&self) -> bool {
-        self.pes
-            .first()
-            .map_or_else(simd_default, ProcessingElement::simd)
-    }
-
     /// Selects every PE's zero-operand fast paths: `Some(true)` lets a PE
     /// skip host work for gated lanes, `Some(false)` forces the dense
     /// kernels, `None` re-reads the `NEUROCUBE_NO_SPARSITY` environment
@@ -348,22 +323,6 @@ impl Neurocube {
         self.pes
             .first()
             .map_or_else(sparsity_default, ProcessingElement::sparsity)
-    }
-
-    /// Overrides the stage-parallel setting for this cube: `Some(true)`
-    /// ticks the PEs from a scoped thread pool each cycle, `Some(false)`
-    /// forces the serial loop, `None` re-reads the `NEUROCUBE_STAGE_PAR`
-    /// environment default fresh (never a cached value). Both modes are
-    /// bitwise identical (the PEs are mutually independent within a tick);
-    /// the parallel mode exists to *prove* that claim under the
-    /// equivalence suite, and is off by default.
-    pub fn set_stage_par(&mut self, enabled: Option<bool>) {
-        self.stage_par = enabled.unwrap_or_else(stage_par_default);
-    }
-
-    /// Whether this cube ticks its PEs from a scoped thread pool.
-    pub fn stage_par(&self) -> bool {
-        self.stage_par
     }
 
     /// Fast-forward jumps taken across every pass run on this cube.
@@ -1312,60 +1271,28 @@ impl Clocked<Neurocube> for NocTick {
 struct PeTick;
 
 impl PeTick {
-    /// Stage-parallel variant of the PE tick. The serial loop fuses three
-    /// per-PE steps (accept → compute → inject); here they become three
-    /// phases so the compute step — the only one that needs no NoC access
-    /// — can fan out across a scoped thread pool.
-    ///
-    /// Bitwise equivalence to the serial loop rests on two facts. First,
-    /// each PE's own accept → compute → inject order is preserved: phase 1
-    /// completes every accept before any compute, phase 3 injects after
-    /// every compute. Second, the cross-PE reorderings the phase split
-    /// introduces only commute operations on *disjoint* state: accepts
-    /// pop from per-node PE-port *output* queues while injects push to
-    /// per-node PE-port *input* queues, `ProcessingElement::tick` touches
-    /// only that PE, and the NoC counters both paths bump are sums —
-    /// order within a cycle cannot change their totals. Each serial phase
-    /// walks nodes in ascending order, so even per-queue effects land in
-    /// a deterministic sequence.
-    fn tick_parallel(now: u64, cube: &mut Neurocube) {
-        // Phase 1 (serial): operand acceptance from the NoC.
-        for p in 0..cube.cfg.nodes() as u8 {
-            let pe = &mut cube.pes[usize::from(p)];
-            if !pe.layer_done() {
-                if let Some(&pkt) = cube.net.peek_for_pe(p, now) {
-                    if pe.try_accept(pkt) {
-                        let _ = cube.net.pop_for_pe(p, now);
-                    }
+    /// One node's PE step: accept the operand the NoC holds for it,
+    /// advance the PE one cycle, then inject its next write-back. The
+    /// step touches only this node's PE and its own PE-port queues (plus
+    /// NoC counters that are order-free sums), so the nodes may be
+    /// stepped in any order within a cycle.
+    fn tick_node(now: u64, cube: &mut Neurocube, p: u8) {
+        let pe = &mut cube.pes[usize::from(p)];
+        if !pe.layer_done() {
+            if let Some(&pkt) = cube.net.peek_for_pe(p, now) {
+                if pe.try_accept(pkt) {
+                    let _ = cube.net.pop_for_pe(p, now);
                 }
             }
+            pe.tick(now);
         }
-        // Phase 2 (parallel): compute. PEs are mutually independent
-        // within a tick, so disjoint chunks may run concurrently.
-        let shards = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .clamp(1, cube.pes.len());
-        let chunk = cube.pes.len().div_ceil(shards);
-        std::thread::scope(|s| {
-            for slice in cube.pes.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for pe in slice {
-                        if !pe.layer_done() {
-                            pe.tick(now);
-                        }
-                    }
-                });
-            }
-        });
-        // Phase 3 (serial): result injection.
-        for p in 0..cube.cfg.nodes() as u8 {
-            let pe = &mut cube.pes[usize::from(p)];
-            if let Some(&r) = pe.peek_result() {
-                let mut phys = r;
-                phys.dst = cube.cfg.attach[usize::from(r.dst)];
-                if cube.net.try_inject_from_pe(p, phys, now) {
-                    pe.pop_result();
-                }
+        if let Some(&r) = pe.peek_result() {
+            // Physical routing: results travel to the mesh node of the
+            // region's controller.
+            let mut phys = r;
+            phys.dst = cube.cfg.attach[usize::from(r.dst)];
+            if cube.net.try_inject_from_pe(p, phys, now) {
+                pe.pop_result();
             }
         }
     }
@@ -1373,29 +1300,16 @@ impl PeTick {
 
 impl Clocked<Neurocube> for PeTick {
     fn tick(&mut self, now: u64, cube: &mut Neurocube) {
-        if cube.stage_par {
-            Self::tick_parallel(now, cube);
+        #[cfg(test)]
+        if let Some(order) = cube.pe_order.take() {
+            for &p in &order {
+                Self::tick_node(now, cube, p);
+            }
+            cube.pe_order = Some(order);
             return;
         }
         for p in 0..cube.cfg.nodes() as u8 {
-            let pe = &mut cube.pes[usize::from(p)];
-            if !pe.layer_done() {
-                if let Some(&pkt) = cube.net.peek_for_pe(p, now) {
-                    if pe.try_accept(pkt) {
-                        let _ = cube.net.pop_for_pe(p, now);
-                    }
-                }
-                pe.tick(now);
-            }
-            if let Some(&r) = pe.peek_result() {
-                // Physical routing: results travel to the mesh node of
-                // the region's controller.
-                let mut phys = r;
-                phys.dst = cube.cfg.attach[usize::from(r.dst)];
-                if cube.net.try_inject_from_pe(p, phys, now) {
-                    pe.pop_result();
-                }
-            }
+            Self::tick_node(now, cube, p);
         }
     }
 
@@ -1680,26 +1594,35 @@ mod tests {
         );
     }
 
-    /// Stage-parallel PE ticking must be invisible in every observable:
-    /// same outputs, reports, cycle counters and statistics registries as
-    /// the serial loop — the direct test of the phase-split argument on
-    /// [`PeTick::tick_parallel`].
+    /// The PEs are mutually independent within a tick: stepping the 16
+    /// nodes in reversed or shuffled order leaves outputs, reports, the
+    /// cycle counter and the statistics registry bitwise identical to the
+    /// ascending serial loop — the direct test of [`PeTick::tick_node`]'s
+    /// disjoint-state argument.
     #[test]
-    fn stage_parallel_pe_tick_matches_serial_bitwise() {
+    fn permuted_pe_tick_order_matches_serial_bitwise() {
         let (spec, params, input) = tiny_net();
-        let run = |par: bool| {
+        let run = |order: Option<Vec<u8>>| {
             let mut cube = Neurocube::new(SystemConfig::paper(true));
-            cube.set_stage_par(Some(par));
+            cube.pe_order = order;
             let loaded = cube.load(spec.clone(), params.clone());
             let (out, report) = cube.run_inference(&loaded, &input);
             (out, report, cube.now(), cube.stats_registry())
         };
-        let (out_par, rep_par, now_par, stats_par) = run(true);
-        let (out_ser, rep_ser, now_ser, stats_ser) = run(false);
-        assert_eq!(out_par.as_slice(), out_ser.as_slice(), "outputs diverge");
-        assert_eq!(rep_par, rep_ser, "reports diverge");
-        assert_eq!(now_par, now_ser, "cycle counters diverge");
-        assert_eq!(stats_par, stats_ser, "registries diverge");
+        let (out_ser, rep_ser, now_ser, stats_ser) = run(None);
+        let reversed: Vec<u8> = (0..16).rev().collect();
+        let shuffled = vec![5, 12, 0, 9, 15, 3, 10, 7, 1, 14, 6, 11, 2, 13, 8, 4];
+        for order in [reversed, shuffled] {
+            let (out, rep, now, stats) = run(Some(order.clone()));
+            assert_eq!(
+                out.as_slice(),
+                out_ser.as_slice(),
+                "outputs diverge for {order:?}"
+            );
+            assert_eq!(rep, rep_ser, "reports diverge for {order:?}");
+            assert_eq!(now, now_ser, "cycle counters diverge for {order:?}");
+            assert_eq!(stats, stats_ser, "registries diverge for {order:?}");
+        }
     }
 
     /// The same configured layer on the full pipeline completes without

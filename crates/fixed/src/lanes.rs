@@ -11,8 +11,8 @@
 //! # Bit-exactness with [`MacUnit`](crate::MacUnit)
 //!
 //! The kernels are *derived* from, and pinned bit-for-bit against, the
-//! scalar [`MacUnit::accumulate`](crate::MacUnit::accumulate) semantics
-//! (the `NEUROCUBE_NO_SIMD=1` oracle path):
+//! scalar [`MacUnit::accumulate`](crate::MacUnit::accumulate) semantics,
+//! which stay the reference:
 //!
 //! * **Wide32.** The scalar unit adds the `Q16.16` product into an `i64`
 //!   and clamps to the `i32` register range *after every step*, so the
@@ -27,8 +27,10 @@
 //!   operations on raw bits.
 //!
 //! The equivalence is enforced at every saturation and rounding boundary
-//! by the `lane_kernels_match_mac_unit` proptests (fixed crate) and the
-//! full-system scalar/SoA registry-identity suite (integration tests).
+//! by the `lane_kernels_match_mac_unit` proptests (fixed crate), and end
+//! to end by the bit-exactness suite, which runs whole networks on the
+//! cube against the `MacUnit`-based functional executor at both widths
+//! (integration tests).
 
 use crate::q88::{saturate, FRAC_BITS};
 

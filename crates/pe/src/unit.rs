@@ -4,24 +4,25 @@
 //! buffer is a pair of packed `i16` lane arrays with fill bitmasks (one bit
 //! per MAC) instead of `Vec<Option<Q88>>`, and the MAC accumulators are
 //! flat `i32`/`i16` lane banks fed by the branch-free batch kernels in
-//! `neurocube_fixed::lanes`. A fire gathers the active lanes into two
-//! scratch rows, applies any transient-fault upsets as a sparse pass over
-//! the state row (same lens-call order as the scalar loop, so `fault`
-//! determinism is untouched), and accumulates all lanes in one pass.
+//! `neurocube_fixed::lanes`. The MACs fire together once the temporal
+//! buffer holds a full operand set, in one batch pass over the lanes.
+//! With a fault lens attached, a fire first gathers the active lanes into
+//! two scratch rows and applies any transient-fault upsets as a sparse,
+//! lane-ascending pass over the state row.
 //!
-//! The original scalar path — per-lane [`MacUnit`] accumulation — survives
-//! behind `NEUROCUBE_NO_SIMD=1` (or [`ProcessingElement::set_simd`]) as
-//! the differential oracle; both paths are asserted bitwise identical by
-//! the integration equivalence suite.
+//! The per-lane [`MacUnit`](neurocube_fixed::MacUnit) is the reference
+//! the lane kernels are proven against (the `neurocube-fixed` kernel
+//! properties), and the whole-cube values are checked against the
+//! `MacUnit`-based `neurocube_nn::Executor`.
 //!
 //! **Sparsity.** Every fire classifies its operand lanes: a lane whose
 //! weight or state operand is exactly `0` contributes nothing to its
 //! accumulator in either `Q1.7.8` width (`0·x = 0`, and adding `0` is the
 //! identity under both wrapping and saturating accumulation), so a
 //! gated-update MAC array could clock-gate it. The PE counts those lanes
-//! (`lanes_gated`) on every fire, and — on the SoA path with no fault
-//! lens attached — skips or mask-iterates them on the host, which is
-//! bitwise invisible by construction. `NEUROCUBE_NO_SPARSITY=1` (or
+//! (`lanes_gated`) on every fire, and — with no fault lens attached —
+//! skips or mask-iterates them on the host, which is bitwise invisible by
+//! construction. `NEUROCUBE_NO_SPARSITY=1` (or
 //! [`ProcessingElement::set_sparsity`]) disables the host fast paths
 //! while leaving the classification counters on.
 
@@ -32,10 +33,10 @@ use neurocube_fixed::{
     accumulate_narrow_broadcast_state, accumulate_narrow_broadcast_weight, accumulate_narrow_lanes,
     accumulate_narrow_masked, accumulate_wide_broadcast_state, accumulate_wide_broadcast_weight,
     accumulate_wide_lanes, accumulate_wide_masked, wide_result_bits, AccumulatorWidth, LaneSrc,
-    MacUnit, Q88,
+    Q88,
 };
 use neurocube_noc::{NodeId, Packet, PacketKind};
-use neurocube_sim::{simd_default, sparsity_default, ScopedStats, StatSource};
+use neurocube_sim::{sparsity_default, ScopedStats, StatSource};
 use std::collections::VecDeque;
 
 /// Lifetime/layer counters exposed by a PE.
@@ -87,12 +88,10 @@ pub struct ProcessingElement {
     state_zero_mask: u64,
     weight_zero_mask: u64,
     shared_state: Option<Q88>,
-    /// MAC accumulator banks for the batch path (one of the two is live,
-    /// by configured [`AccumulatorWidth`]).
+    /// MAC accumulator banks (one of the two is live, by configured
+    /// [`AccumulatorWidth`]).
     acc_wide: Vec<i32>,
     acc_narrow: Vec<i16>,
-    /// Scalar-oracle MAC units; populated only when `simd` is off.
-    macs: Vec<MacUnit>,
     /// Gather rows reused by every firing (keeps the fire path
     /// allocation-free).
     w_lanes: Vec<i16>,
@@ -107,7 +106,6 @@ pub struct ProcessingElement {
     next_fire_at: u64,
     results: VecDeque<Packet>,
     done: bool,
-    simd: bool,
     /// Host fast paths for zero-operand lanes (skip / masked iteration).
     /// Never changes any observable — classification counters stay on
     /// either way.
@@ -155,7 +153,6 @@ impl ProcessingElement {
             shared_state: None,
             acc_wide: Vec::new(),
             acc_narrow: Vec::new(),
-            macs: Vec::new(),
             w_lanes: Vec::new(),
             x_lanes: Vec::new(),
             hits_scratch: Vec::new(),
@@ -165,7 +162,6 @@ impl ProcessingElement {
             next_fire_at: 0,
             results: VecDeque::new(),
             done: true,
-            simd: simd_default(),
             sparsity: sparsity_default(),
             stats: PeStats::default(),
             faults: None,
@@ -178,30 +174,6 @@ impl ProcessingElement {
     /// The mesh node this PE sits at.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Selects the MAC arithmetic path: `Some(true)` forces the SoA batch
-    /// kernels, `Some(false)` forces the per-lane scalar [`MacUnit`]
-    /// oracle, `None` re-resolves the environment default
-    /// (`NEUROCUBE_NO_SIMD`, read fresh — never cached). Both paths are
-    /// bitwise identical in every observable; the scalar path exists as
-    /// the differential oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called in the middle of an active layer (the accumulator
-    /// banks live in different representations per path).
-    pub fn set_simd(&mut self, simd: Option<bool>) {
-        assert!(
-            self.done,
-            "set_simd must not switch arithmetic paths mid-layer"
-        );
-        self.simd = simd.unwrap_or_else(simd_default);
-    }
-
-    /// The arithmetic path currently selected (`true` = SoA batch).
-    pub fn simd(&self) -> bool {
-        self.simd
     }
 
     /// Enables/disables the zero-operand host fast paths: `Some(..)`
@@ -276,11 +248,6 @@ impl ProcessingElement {
         self.shared_state = None;
         self.acc_wide = vec![0; n];
         self.acc_narrow = vec![0; n];
-        self.macs = if self.simd {
-            Vec::new()
-        } else {
-            (0..n).map(|_| MacUnit::new(self.accumulator)).collect()
-        };
         self.w_lanes = vec![0; n];
         self.x_lanes = vec![0; n];
         self.group = 0;
@@ -460,8 +427,8 @@ impl ProcessingElement {
     }
 
     /// Gathers this firing's weight and state operands into the scratch
-    /// lane rows and applies any transient-fault upsets to the state row —
-    /// lane-ascending, the same lens-call order as the scalar loop.
+    /// lane rows and applies any transient-fault upsets to the state row,
+    /// consulting the lens once per lane in ascending lane order.
     fn gather_lanes(&mut self, cfg: &PeLayerConfig, active: usize, now: u64) {
         match cfg.weights {
             WeightMode::Local {
@@ -511,14 +478,13 @@ impl ProcessingElement {
         }
 
         // Fire: one multiply-accumulate per active MAC, all lanes in one
-        // batch pass (or through the per-lane scalar oracle units). Every
-        // path first classifies the zero-operand lanes (the gated-update
-        // model); only the batch-without-faults path may then exploit the
-        // classification on the host.
+        // batch pass. Both branches first classify the zero-operand lanes
+        // (the gated-update model); only the fault-free branch may then
+        // exploit the classification on the host.
         let need = lane_mask(active);
         let active = active as usize;
-        if self.simd && self.faults.is_none() {
-            // Batch path, no fault lens: classify straight from the slot
+        if self.faults.is_none() {
+            // No fault lens: classify straight from the slot
             // state (no gather copies) and fire on the slot arrays
             // themselves; the broadcast kernel variants splat Local
             // weights / Shared states without filling a scratch row.
@@ -620,37 +586,28 @@ impl ProcessingElement {
                 }
             }
         } else {
-            // Scalar oracle and/or fault lens: gather into the scratch
-            // rows (the lens is consulted once per lane, in fire order)
-            // and classify from the post-upset operands — an upset can
-            // turn a zero state nonzero, so the gated-update model must
-            // see what the multiplier sees. No host fast paths here.
+            // Fault lens: gather into the scratch rows (the lens is
+            // consulted once per lane, in fire order) and classify from
+            // the post-upset operands — an upset can turn a zero state
+            // nonzero, so the gated-update model must see what the
+            // multiplier sees. No host fast paths here.
             self.gather_lanes(&cfg, active, now);
             let mut gated = 0u32;
             for m in 0..active {
                 gated += u32::from(self.w_lanes[m] == 0 || self.x_lanes[m] == 0);
             }
             self.stats.lanes_gated += u64::from(gated);
-            if self.simd {
-                match self.accumulator {
-                    AccumulatorWidth::Wide32 => accumulate_wide_lanes(
-                        &mut self.acc_wide[..active],
-                        &self.w_lanes[..active],
-                        &self.x_lanes[..active],
-                    ),
-                    AccumulatorWidth::Narrow16 => accumulate_narrow_lanes(
-                        &mut self.acc_narrow[..active],
-                        &self.w_lanes[..active],
-                        &self.x_lanes[..active],
-                    ),
-                }
-            } else {
-                for m in 0..active {
-                    self.macs[m].accumulate(
-                        Q88::from_bits(self.w_lanes[m]),
-                        Q88::from_bits(self.x_lanes[m]),
-                    );
-                }
+            match self.accumulator {
+                AccumulatorWidth::Wide32 => accumulate_wide_lanes(
+                    &mut self.acc_wide[..active],
+                    &self.w_lanes[..active],
+                    &self.x_lanes[..active],
+                ),
+                AccumulatorWidth::Narrow16 => accumulate_narrow_lanes(
+                    &mut self.acc_narrow[..active],
+                    &self.w_lanes[..active],
+                    &self.x_lanes[..active],
+                ),
             }
         }
         self.shared_state = None;
@@ -664,13 +621,9 @@ impl ProcessingElement {
         if self.op == cfg.conns_per_neuron {
             // Neuron group complete: write back one result per active MAC.
             for m in 0..active {
-                let bits = if self.simd {
-                    match self.accumulator {
-                        AccumulatorWidth::Wide32 => wide_result_bits(self.acc_wide[m]),
-                        AccumulatorWidth::Narrow16 => self.acc_narrow[m],
-                    }
-                } else {
-                    self.macs[m].result().to_bits()
+                let bits = match self.accumulator {
+                    AccumulatorWidth::Wide32 => wide_result_bits(self.acc_wide[m]),
+                    AccumulatorWidth::Narrow16 => self.acc_narrow[m],
                 };
                 self.results.push_back(Packet {
                     dst: self.node,
@@ -684,7 +637,6 @@ impl ProcessingElement {
             }
             self.acc_wide.fill(0);
             self.acc_narrow.fill(0);
-            self.macs.iter_mut().for_each(MacUnit::clear);
             self.stats.groups_done += 1;
             self.op = 0;
             self.group += 1;
@@ -967,49 +919,35 @@ mod tests {
     }
 
     /// Lane-masking check: a partially-active group must accumulate only
-    /// its active lanes, and the batch path must agree with the scalar
-    /// oracle packet-for-packet and counter-for-counter on it.
+    /// its active lanes, and every result must equal a per-lane scalar
+    /// [`MacUnit`](neurocube_fixed::MacUnit) fed the same operands.
     #[test]
     fn partial_groups_match_scalar_oracle_bitwise() {
-        let run = |simd: bool| {
-            let mut pe = ProcessingElement::new(0, AccumulatorWidth::Wide32);
-            pe.set_simd(Some(simd));
-            // 21 neurons per map, 2 maps: groups of 16/5/16/5 active lanes.
-            pe.configure(
-                conv_cfg(21, 2, 3),
-                vec![
-                    Q88::from_f64(0.5),
-                    Q88::from_f64(-1.0),
-                    Q88::from_f64(2.0),
-                    Q88::from_f64(1.5),
-                    Q88::from_f64(0.25),
-                    Q88::from_f64(-0.5),
-                ],
-            );
-            let mut pkts = Vec::new();
-            let mut global_op = 0u64;
-            for g in 0..4u64 {
-                let active = if g % 2 == 0 { 16 } else { 5 };
-                for _ in 0..3u32 {
-                    for mac in 0..active as u8 {
-                        pkts.push(state(
-                            mac,
-                            (global_op % 256) as u8,
-                            f64::from(mac) - 113.0 / 32.0,
-                        ));
-                    }
-                    global_op += 1;
+        use neurocube_fixed::MacUnit;
+        let weights = [0.5, -1.0, 2.0, 1.5, 0.25, -0.5].map(Q88::from_f64);
+        let x = |mac: u8| Q88::from_f64(f64::from(mac) - 113.0 / 32.0);
+        let mut pe = ProcessingElement::new(0, AccumulatorWidth::Wide32);
+        // 21 neurons per map, 2 maps: groups of 16/5/16/5 active lanes.
+        pe.configure(conv_cfg(21, 2, 3), weights.to_vec());
+        let mut pkts = Vec::new();
+        let mut expected = Vec::new();
+        let mut global_op = 0u64;
+        for g in 0..4usize {
+            let active = if g % 2 == 0 { 16 } else { 5 };
+            let mut macs = vec![MacUnit::new(AccumulatorWidth::Wide32); active];
+            for op in 0..3usize {
+                for mac in 0..active as u8 {
+                    pkts.push(state(mac, (global_op % 256) as u8, x(mac).to_f64()));
+                    macs[usize::from(mac)].accumulate(weights[g / 2 * 3 + op], x(mac));
                 }
+                global_op += 1;
             }
-            let out = run_to_completion(&mut pe, pkts, 100_000);
-            (out, *pe.stats())
-        };
-        let (soa, soa_stats) = run(true);
-        let (scalar, scalar_stats) = run(false);
-        assert_eq!(soa, scalar, "batch path diverged from the scalar oracle");
-        assert_eq!(soa_stats, scalar_stats);
-        assert_eq!(soa.len(), 42);
-        assert_eq!(soa_stats.mac_ops, (16 + 5) * 2 * 3);
+            expected.extend(macs.iter().map(|m| m.result().to_bits() as u16));
+        }
+        let out = run_to_completion(&mut pe, pkts, 100_000);
+        let got: Vec<u16> = out.iter().map(|p| p.data).collect();
+        assert_eq!(got, expected, "batch path diverged from the scalar oracle");
+        assert_eq!(pe.stats().mac_ops, (16 + 5) * 2 * 3);
     }
 
     #[test]
@@ -1086,14 +1024,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mid-layer")]
-    fn simd_switch_rejected_mid_layer() {
-        let mut pe = ProcessingElement::new(0, AccumulatorWidth::Wide32);
-        pe.configure(conv_cfg(16, 1, 1), vec![Q88::ONE]);
-        pe.set_simd(Some(false));
-    }
-
-    #[test]
     fn lenient_mode_counts_drops_instead_of_panicking() {
         let mut pe = ProcessingElement::new(2, AccumulatorWidth::Wide32);
         pe.set_lenient(true);
@@ -1120,9 +1050,8 @@ mod tests {
 
     #[test]
     fn mac_faults_are_deterministic_and_perturb_results() {
-        let run = |rate: f64, seed: u64, simd: bool| {
+        let run = |rate: f64, seed: u64| {
             let mut pe = ProcessingElement::new(0, AccumulatorWidth::Wide32);
-            pe.set_simd(Some(simd));
             let cfg = neurocube_fault::FaultConfig {
                 seed,
                 pe_mac_rate: rate,
@@ -1142,20 +1071,16 @@ mod tests {
                 .collect();
             (out, pe.fault_counts())
         };
-        let (clean, c0) = run(0.0, 1, true);
+        let (clean, c0) = run(0.0, 1);
         assert_eq!(c0, PeFaultCounts::default());
-        let (a, ca) = run(0.25, 1, true);
-        let (b, cb) = run(0.25, 1, true);
+        let (a, ca) = run(0.25, 1);
+        let (b, cb) = run(0.25, 1);
         assert_eq!(a, b, "same seed must reproduce bitwise");
         assert_eq!(ca, cb);
         assert!(ca.mac_faults > 0, "no MAC faults fired at rate 0.25");
         assert_ne!(a, clean, "faults left every result untouched");
-        let (c, _) = run(0.25, 2, true);
+        let (c, _) = run(0.25, 2);
         assert_ne!(a, c, "different seeds produced identical faulty runs");
-        // The sparse upset pass must reproduce the scalar loop exactly.
-        let (s, cs) = run(0.25, 1, false);
-        assert_eq!(a, s, "faulty batch path diverged from the scalar oracle");
-        assert_eq!(ca, cs);
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //!
 //! Known variables routed through here: `NEUROCUBE_NO_SKIP`,
 //! `NEUROCUBE_STAGE_PROFILE`, `NEUROCUBE_FAULT_ECC`,
-//! `NEUROCUBE_NO_SIMD` (scalar `MacUnit` oracle instead of the SoA batch
-//! kernels), `NEUROCUBE_STAGE_PAR` (stage-parallel PE ticking),
 //! `NEUROCUBE_NO_SPARSITY` (disable the zero-operand host fast paths)
 //! (flags);
 //! `NEUROCUBE_FAULT_SEED`, `NEUROCUBE_SERVE_SEED`,
@@ -76,33 +74,17 @@ pub fn env_f64(name: &str) -> Option<f64> {
     env_str(name)?.trim().parse().ok()
 }
 
-/// `NEUROCUBE_NO_SIMD`: when ON, components default to the scalar
-/// `MacUnit` oracle instead of the SoA batch kernels.
-///
-/// Deliberately **not cached**: each simulator instance resolves the
-/// flag at construction (and again on `set_simd(None)`), so tests and
-/// serve runs that flip the variable between constructions observe the
-/// current value and an `EnvGuard` restore-on-drop actually restores
-/// behaviour. Explicit `set_simd(Some(..))` overrides stay authoritative.
-#[must_use]
-pub fn simd_default() -> bool {
-    !env_flag("NEUROCUBE_NO_SIMD")
-}
-
-/// `NEUROCUBE_STAGE_PAR`: when ON, `NeurocubeSystem`s default to
-/// stage-parallel PE ticking. Same per-construction (uncached)
-/// resolution contract as [`simd_default`]; `set_stage_par(Some(..))`
-/// overrides stay authoritative.
-#[must_use]
-pub fn stage_par_default() -> bool {
-    env_flag("NEUROCUBE_STAGE_PAR")
-}
-
 /// `NEUROCUBE_NO_SPARSITY`: when ON, the PE zero-operand host fast
 /// paths are disabled and every fire runs the dense kernels. Sparsity
 /// classification *counters* stay on either way — the knob only selects
-/// the (bitwise-identical) host execution strategy. Same uncached
-/// resolution contract as [`simd_default`].
+/// the (bitwise-identical) host execution strategy.
+///
+/// Deliberately **not cached**: each simulator instance resolves the
+/// flag at construction (and again on `set_sparsity(None)`), so tests
+/// and serve runs that flip the variable between constructions observe
+/// the current value and an `EnvGuard` restore-on-drop actually restores
+/// behaviour. Explicit `set_sparsity(Some(..))` overrides stay
+/// authoritative.
 #[must_use]
 pub fn sparsity_default() -> bool {
     !env_flag("NEUROCUBE_NO_SPARSITY")
@@ -173,8 +155,8 @@ pub fn cluster_topology() -> Option<String> {
 }
 
 /// `NEUROCUBE_CLUSTER_LINK_GBPS`: per-link SerDes bandwidth in GB/s
-/// (f64 rules; the cluster layer rejects non-positive values at
-/// configuration time). Same per-construction (uncached) resolution
+/// (f64 rules; the cluster layer rejects non-positive and non-finite
+/// values at configuration time). Same per-construction (uncached) resolution
 /// contract as [`cluster_topology`].
 #[must_use]
 pub fn cluster_link_gbps() -> Option<f64> {
@@ -182,7 +164,8 @@ pub fn cluster_link_gbps() -> Option<f64> {
 }
 
 /// `NEUROCUBE_CLUSTER_LINK_NS`: per-hop SerDes link latency in
-/// nanoseconds (f64 rules — `0` is a legitimate "ideal link" value).
+/// nanoseconds (f64 rules — `0` is a legitimate "ideal link" value; the
+/// cluster layer rejects negative and non-finite values).
 /// Same per-construction (uncached) resolution contract as
 /// [`cluster_topology`].
 #[must_use]
@@ -191,7 +174,8 @@ pub fn cluster_link_ns() -> Option<f64> {
 }
 
 /// `NEUROCUBE_CLUSTER_PJ_BIT`: SerDes link energy in pJ/bit (f64 rules
-/// — `0` is a legitimate "free link" value for energy what-ifs). Same
+/// — `0` is a legitimate "free link" value for energy what-ifs; the
+/// cluster layer rejects negative and non-finite values). Same
 /// per-construction (uncached) resolution contract as
 /// [`cluster_topology`].
 #[must_use]

@@ -1,9 +1,13 @@
 //! The reproduction's central invariant, exercised with randomized network
 //! geometries: the cycle-level Neurocube simulator computes **bit-for-bit**
 //! the same values as the functional fixed-point reference, under every
-//! mapping and memory configuration.
+//! mapping and memory configuration and at both MAC accumulator widths.
+//! The reference ([`Executor`]) accumulates with the per-lane scalar
+//! `MacUnit`, so these runs are also the end-to-end check of the PE's
+//! lane kernels.
 
 use neurocube::{Neurocube, SystemConfig};
+use neurocube_fixed::AccumulatorWidth::{self, Narrow16, Wide32};
 use neurocube_fixed::{Activation, Q88};
 use neurocube_nn::{ConvConnectivity, Executor, LayerSpec, NetworkSpec, Shape, Tensor};
 use proptest::prelude::*;
@@ -72,9 +76,13 @@ fn input_for(spec: &NetworkSpec, seed: i32) -> Tensor {
     )
 }
 
-fn check(cfg: SystemConfig, spec: &NetworkSpec, seed: u64) {
+/// Runs `spec` on a cube built from `cfg` with `width` accumulators and
+/// asserts every layer's volume equals the reference executor's at the
+/// same width. Returns the final output.
+fn check(mut cfg: SystemConfig, width: AccumulatorWidth, spec: &NetworkSpec, seed: u64) -> Tensor {
+    cfg.accumulator = width;
     let params = spec.init_params(seed, 0.3);
-    let reference = Executor::new(spec.clone(), params.clone());
+    let reference = Executor::with_accumulator(spec.clone(), params.clone(), width);
     let input = input_for(spec, seed as i32);
     let expected = reference.forward(&input);
 
@@ -92,6 +100,7 @@ fn check(cfg: SystemConfig, spec: &NetworkSpec, seed: u64) {
     let want: u64 = spec.macs_per_layer().iter().sum();
     let got: u64 = report.layers.iter().map(|l| l.macs).sum();
     assert_eq!(got, want, "MAC count mismatch");
+    output
 }
 
 proptest! {
@@ -99,17 +108,17 @@ proptest! {
 
     #[test]
     fn random_networks_bit_exact_with_duplication(spec in network_strategy(), seed in 0u64..1000) {
-        check(SystemConfig::paper(true), &spec, seed);
+        check(SystemConfig::paper(true), Wide32, &spec, seed);
     }
 
     #[test]
     fn random_networks_bit_exact_without_duplication(spec in network_strategy(), seed in 0u64..1000) {
-        check(SystemConfig::paper(false), &spec, seed);
+        check(SystemConfig::paper(false), Wide32, &spec, seed);
     }
 
     #[test]
     fn random_networks_bit_exact_on_ddr3(spec in network_strategy(), seed in 0u64..1000) {
-        check(SystemConfig::ddr3(), &spec, seed);
+        check(SystemConfig::ddr3(), Wide32, &spec, seed);
     }
 
     #[test]
@@ -117,7 +126,7 @@ proptest! {
         spec in network_strategy(),
         seed in 0u64..1000,
     ) {
-        check(SystemConfig::fully_connected_noc(true), &spec, seed);
+        check(SystemConfig::fully_connected_noc(true), Wide32, &spec, seed);
     }
 }
 
@@ -133,8 +142,8 @@ fn deep_mlp_bit_exact() {
         ],
     )
     .unwrap();
-    check(SystemConfig::paper(true), &spec, 77);
-    check(SystemConfig::paper(false), &spec, 78);
+    check(SystemConfig::paper(true), Wide32, &spec, 77);
+    check(SystemConfig::paper(false), Wide32, &spec, 78);
 }
 
 #[test]
@@ -150,5 +159,44 @@ fn deep_conv_stack_bit_exact() {
         ],
     )
     .unwrap();
-    check(SystemConfig::paper(true), &spec, 79);
+    check(SystemConfig::paper(true), Wide32, &spec, 79);
+}
+
+/// The 16-bit accumulator datapath end to end: renormalizing and
+/// saturating after every MAC makes results depend on accumulation
+/// order, so these pin that the cube feeds each neuron's MACs in the
+/// reference's order. Both nets produce different outputs at the two
+/// widths, so the cases exercise the narrow arithmetic, not a path
+/// where the widths agree.
+#[test]
+fn narrow16_mnist_mlp_bit_exact_with_duplication() {
+    let spec = neurocube_nn::workloads::mnist_mlp(64);
+    for seed in 1..=3 {
+        let narrow = check(SystemConfig::paper(true), Narrow16, &spec, seed);
+        let wide = check(SystemConfig::paper(true), Wide32, &spec, seed);
+        assert_ne!(
+            narrow, wide,
+            "seed {seed}: widths agree, the case is vacuous"
+        );
+    }
+}
+
+#[test]
+fn narrow16_conv_fc_bit_exact_without_duplication() {
+    let spec = NetworkSpec::new(
+        Shape::new(2, 14, 14),
+        vec![
+            LayerSpec::conv(4, 3, Activation::Tanh),
+            LayerSpec::fc(10, Activation::Sigmoid),
+        ],
+    )
+    .unwrap();
+    for seed in 1..=3 {
+        let narrow = check(SystemConfig::paper(false), Narrow16, &spec, seed);
+        let wide = check(SystemConfig::paper(false), Wide32, &spec, seed);
+        assert_ne!(
+            narrow, wide,
+            "seed {seed}: widths agree, the case is vacuous"
+        );
+    }
 }

@@ -1,10 +1,9 @@
 //! The environment-knob contract: every `NEUROCUBE_SERVE_*` knob follows
 //! `sim::env`'s documented rules — unset, empty, or unparseable reads as
 //! `None` (the caller's default applies) and bad values return typed
-//! errors or defaults, never a panic — and the construction flags
-//! (`NEUROCUBE_NO_SIMD`, `NEUROCUBE_STAGE_PAR`, `NEUROCUBE_NO_SPARSITY`)
-//! are resolved fresh per [`Neurocube`] construction, never cached
-//! process-wide.
+//! errors or defaults, never a panic — and the construction flag
+//! (`NEUROCUBE_NO_SPARSITY`) is resolved fresh per [`Neurocube`]
+//! construction, never cached process-wide.
 //!
 //! These accessors read fixed process-global variable names, so every
 //! test here runs behind the shared [`common::EnvGuard`] mutex: the
@@ -16,12 +15,12 @@ mod common;
 
 use common::EnvGuard;
 use neurocube::{Neurocube, SystemConfig};
-use neurocube_cluster::{ClusterTopology, LinkConfig};
+use neurocube_cluster::{ClusterTopology, LinkConfig, LinkConfigError};
 use neurocube_serve::{AuditSampler, LoadProfile, Scenario, ServeConfig, TwoSpeedConfig};
 use neurocube_sim::{
     cluster_link_gbps, cluster_link_ns, cluster_pj_bit, cluster_topology, serve_audit_rate,
     serve_load, serve_max_batch, serve_max_delay, serve_pool, serve_scenario, serve_seed,
-    simd_default, sparsity_default, stage_par_default,
+    sparsity_default,
 };
 
 /// A u64 far past `u64::MAX` — overflow must read as `None`, not wrap
@@ -185,85 +184,59 @@ fn twospeed_config_from_env_overrides_defaults() {
 
 #[test]
 fn construction_flag_defaults_follow_env_flag_rules() {
-    let g = EnvGuard::capture(&[
-        "NEUROCUBE_NO_SIMD",
-        "NEUROCUBE_STAGE_PAR",
-        "NEUROCUBE_NO_SPARSITY",
-    ]);
-    // Clean slate: SoA and sparsity on, stage-par off.
-    assert!(simd_default());
-    assert!(!stage_par_default());
+    let name = "NEUROCUBE_NO_SPARSITY";
+    let g = EnvGuard::capture(&[name]);
+    // Clean slate: sparsity fast paths on.
     assert!(sparsity_default());
-    for (name, read, on_value) in [
-        ("NEUROCUBE_NO_SIMD", simd_default as fn() -> bool, false),
-        ("NEUROCUBE_STAGE_PAR", stage_par_default, true),
-        ("NEUROCUBE_NO_SPARSITY", sparsity_default, false),
-    ] {
-        g.set(name, "1");
-        assert_eq!(read(), on_value, "{name}=1 flips the default");
-        // Flag rules: "0" and empty read as unset, anything else is on.
-        g.set(name, "0");
-        assert_eq!(read(), !on_value, "{name}=0 reads as unset");
-        g.set(name, "");
-        assert_eq!(read(), !on_value, "{name}= (empty) reads as unset");
-        g.set(name, "yes");
-        assert_eq!(read(), on_value, "{name}=yes reads as set");
-        g.unset(name);
-        assert_eq!(read(), !on_value, "{name} unset restores the default");
-    }
+    g.set(name, "1");
+    assert!(!sparsity_default(), "{name}=1 flips the default");
+    // Flag rules: "0" and empty read as unset, anything else is on.
+    g.set(name, "0");
+    assert!(sparsity_default(), "{name}=0 reads as unset");
+    g.set(name, "");
+    assert!(sparsity_default(), "{name}= (empty) reads as unset");
+    g.set(name, "yes");
+    assert!(!sparsity_default(), "{name}=yes reads as set");
+    g.unset(name);
+    assert!(sparsity_default(), "{name} unset restores the default");
 }
 
 /// The PR 9 stale-cache regression: the construction knobs used to be
 /// resolved once per process through `OnceLock`, so a cube built after
 /// the environment changed (or after an `EnvGuard` restore) silently kept
 /// the first-ever value. Resolution is now per construction — each
-/// `Neurocube::new` and each `set_*(None)` re-reads the environment
-/// fresh — with explicit `set_*(Some(..))` overrides authoritative.
+/// `Neurocube::new` and each `set_sparsity(None)` re-reads the
+/// environment fresh — with explicit `set_sparsity(Some(..))` overrides
+/// authoritative.
 #[test]
 fn construction_knobs_resolve_fresh_per_cube_never_cached() {
-    let g = EnvGuard::capture(&[
-        "NEUROCUBE_NO_SIMD",
-        "NEUROCUBE_STAGE_PAR",
-        "NEUROCUBE_NO_SPARSITY",
-    ]);
+    let g = EnvGuard::capture(&["NEUROCUBE_NO_SPARSITY"]);
     let cfg = SystemConfig::paper(true);
-    // Prime any would-be cache with the clean-slate defaults.
+    // Prime any would-be cache with the clean-slate default.
     let first = Neurocube::new(cfg.clone());
-    assert!(first.simd() && !first.stage_par() && first.sparsity());
+    assert!(first.sparsity());
 
-    g.set("NEUROCUBE_NO_SIMD", "1");
-    g.set("NEUROCUBE_STAGE_PAR", "1");
     g.set("NEUROCUBE_NO_SPARSITY", "1");
-    // Cubes built before the change keep their resolved values...
-    assert!(first.simd() && !first.stage_par() && first.sparsity());
-    // ...and a cube built after it sees the new values, not a cache.
+    // Cubes built before the change keep their resolved value...
+    assert!(first.sparsity());
+    // ...and a cube built after it sees the new value, not a cache.
     let mut second = Neurocube::new(cfg.clone());
-    assert!(!second.simd() && second.stage_par() && !second.sparsity());
+    assert!(!second.sparsity());
 
     // Explicit overrides are authoritative regardless of the environment.
-    second.set_simd(Some(true));
-    second.set_stage_par(Some(false));
     second.set_sparsity(Some(true));
-    assert!(second.simd() && !second.stage_par() && second.sparsity());
+    assert!(second.sparsity());
 
-    // set_*(None) re-reads the environment fresh — it does not restore a
-    // construction-time snapshot.
-    g.unset("NEUROCUBE_NO_SIMD");
-    g.unset("NEUROCUBE_STAGE_PAR");
+    // set_sparsity(None) re-reads the environment fresh — it does not
+    // restore a construction-time snapshot.
     g.unset("NEUROCUBE_NO_SPARSITY");
     let mut third = Neurocube::new(cfg);
-    third.set_simd(Some(false));
-    third.set_stage_par(Some(true));
     third.set_sparsity(Some(false));
-    g.set("NEUROCUBE_NO_SIMD", "1");
-    g.set("NEUROCUBE_STAGE_PAR", "1");
     g.set("NEUROCUBE_NO_SPARSITY", "1");
-    third.set_simd(None);
-    third.set_stage_par(None);
     third.set_sparsity(None);
     assert!(
-        !third.simd() && third.stage_par() && !third.sparsity(),
-        "set_*(None) must re-read the live environment"
+        !third.sparsity(),
+        "set_sparsity(None) must re-read the live environment"
     );
 }
 
@@ -281,7 +254,7 @@ fn cluster_knobs_follow_env_rules_and_resolve_fresh_per_link_config() {
     assert_eq!(cluster_link_gbps(), None);
     assert_eq!(cluster_link_ns(), None);
     assert_eq!(cluster_pj_bit(), None);
-    assert_eq!(LinkConfig::from_env(8), LinkConfig::hmc_ext(8));
+    assert_eq!(LinkConfig::from_env(8), Ok(LinkConfig::hmc_ext(8)));
 
     // f64 knobs: whitespace-tolerant parse, garbage and empty read as
     // unset (the default survives), never a panic.
@@ -308,7 +281,7 @@ fn cluster_knobs_follow_env_rules_and_resolve_fresh_per_link_config() {
     g.set("NEUROCUBE_CLUSTER_LINK_GBPS", "10");
     g.set("NEUROCUBE_CLUSTER_LINK_NS", "250");
     g.set("NEUROCUBE_CLUSTER_PJ_BIT", "3.5");
-    let link = LinkConfig::from_env(16);
+    let link = LinkConfig::from_env(16).expect("valid knobs");
     assert_eq!(
         link.topology,
         ClusterTopology::Mesh {
@@ -324,17 +297,49 @@ fn cluster_knobs_follow_env_rules_and_resolve_fresh_per_link_config() {
     // guard mutates the environment sees the new values immediately.
     g.set("NEUROCUBE_CLUSTER_TOPOLOGY", "ring");
     g.set("NEUROCUBE_CLUSTER_LINK_GBPS", "40");
-    let again = LinkConfig::from_env(16);
+    let again = LinkConfig::from_env(16).expect("valid knobs");
     assert_eq!(again.topology, ClusterTopology::Ring(16));
     assert_eq!(again.bandwidth_gbps, 40.0);
 
-    // Unparseable floats fall back to the defaults; a malformed topology
-    // is a loud misconfiguration, not a silent default.
+    // Unparseable floats read as unset, so the defaults apply; zero is a
+    // legitimate latency and energy ("ideal" and "free" links).
     g.set("NEUROCUBE_CLUSTER_LINK_GBPS", "warp");
-    assert_eq!(LinkConfig::from_env(4).bandwidth_gbps, 40.0);
-    g.set("NEUROCUBE_CLUSTER_TOPOLOGY", "torus");
-    let panic = std::panic::catch_unwind(|| LinkConfig::from_env(4));
-    assert!(panic.is_err(), "a malformed topology must refuse to load");
+    g.set("NEUROCUBE_CLUSTER_LINK_NS", "0");
+    g.set("NEUROCUBE_CLUSTER_PJ_BIT", "0");
+    let link = LinkConfig::from_env(4).expect("valid knobs");
+    assert_eq!(link.bandwidth_gbps, 40.0);
+    assert_eq!((link.latency_ns, link.pj_per_bit), (0.0, 0.0));
+}
+
+/// Every out-of-range cluster knob is a typed error, never a panic or a
+/// silently free link: a zero or negative bandwidth would price
+/// transfers at zero cycles or overflow the cycle arithmetic.
+#[test]
+fn cluster_knobs_reject_out_of_range_values_with_typed_errors() {
+    use LinkConfigError::{Bandwidth, Energy, Latency, Topology};
+    const TOPOLOGY: &str = "NEUROCUBE_CLUSTER_TOPOLOGY";
+    const GBPS: &str = "NEUROCUBE_CLUSTER_LINK_GBPS";
+    const NS: &str = "NEUROCUBE_CLUSTER_LINK_NS";
+    const PJ: &str = "NEUROCUBE_CLUSTER_PJ_BIT";
+    let g = EnvGuard::capture(&[TOPOLOGY, GBPS, NS, PJ]);
+    for (name, value, want) in [
+        (TOPOLOGY, "torus", Topology("torus".into())),
+        (TOPOLOGY, "mesh1x2", Topology("mesh1x2".into())),
+        (GBPS, "0", Bandwidth(0.0)),
+        (GBPS, "-40", Bandwidth(-40.0)),
+        (GBPS, "inf", Bandwidth(f64::INFINITY)),
+        (GBPS, "NaN", Bandwidth(f64::NAN)),
+        (NS, "-1", Latency(-1.0)),
+        (NS, "inf", Latency(f64::INFINITY)),
+        (PJ, "-0.5", Energy(-0.5)),
+        (PJ, "NaN", Energy(f64::NAN)),
+    ] {
+        g.set(name, value);
+        let err = LinkConfig::from_env(4).expect_err(&format!("{name}={value} must be rejected"));
+        // Debug text compares NaN payloads, which `==` never matches.
+        assert_eq!(format!("{err:?}"), format!("{want:?}"), "{name}={value}");
+        g.unset(name);
+    }
 }
 
 #[test]

@@ -1,22 +1,21 @@
-//! Differential properties for the struct-of-arrays datapath: the batch
-//! lane kernels (`NEUROCUBE_NO_SIMD=0`, the default) and the stage-parallel
-//! PE tick (`NEUROCUBE_STAGE_PAR=1`, off by default) must be
-//! *observationally invisible* — for random multi-layer networks the full
-//! statistics registry, output tensor and cycle counts are compared
-//! bitwise against the per-lane scalar oracle, with and without fault
-//! injection.
+//! Differential properties for the struct-of-arrays PE datapath.
 //!
-//! The modes are selected through [`Neurocube::set_simd`] and
-//! [`Neurocube::set_stage_par`], not the environment variables: the env
-//! defaults are read once per process and tests run multithreaded, so
-//! mutating them mid-run would race other suites.
+//! The zero-operand fast paths (`NEUROCUBE_NO_SPARSITY=0`, the default)
+//! must be *observationally invisible*: for random multi-layer networks
+//! whose operand streams are dense with real zeros, the full statistics
+//! registry, output tensor and cycle counts are compared bitwise between
+//! sparsity on and off, with and without fault injection. The mode is
+//! selected through [`Neurocube::set_sparsity`], not the environment
+//! variable: tests run multithreaded, so mutating it mid-run would race
+//! other suites.
 //!
 //! The kernel-level half of the contract rides in the same binary: the
 //! lane kernels are driven against [`MacUnit`] step-for-step across the
 //! saturation and rounding boundaries pinned by `q88_boundary.rs`
 //! (representable midpoints, `>> 8` truncation direction, both clamp
 //! edges), and the `..active` lane masking the PE relies on is checked to
-//! leave parked lanes untouched.
+//! leave parked lanes untouched. Whole-cube values are checked against
+//! the `MacUnit`-based `Executor` in `bit_exactness.rs`.
 
 mod common;
 
@@ -31,7 +30,7 @@ use neurocube_sim::StatsRegistry;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// One observable world: everything two datapath variants must agree on.
+/// One observable world: everything two datapath modes must agree on.
 struct Observables {
     layer_cycles: Vec<u64>,
     final_cycle: u64,
@@ -39,34 +38,7 @@ struct Observables {
     stats: StatsRegistry,
 }
 
-/// Runs `case` with the given datapath selection. `simd = false` is the
-/// per-lane scalar oracle; `stage_par = true` ticks the PEs from scoped
-/// threads. Skipping stays on process default — the skip/naive axis has
-/// its own suite (`skip_equivalence.rs`).
-fn run_variant(
-    case: &DiffCase,
-    simd: bool,
-    stage_par: bool,
-    fault: Option<FaultConfig>,
-) -> Observables {
-    let cfg = SystemConfig::paper(case.dup);
-    let params = case.net.init_params(case.seed, 0.25);
-    let mut cube = Neurocube::new(cfg);
-    cube.set_simd(Some(simd));
-    cube.set_stage_par(Some(stage_par));
-    cube.set_fault_config(fault);
-    let loaded = cube.load(case.net.clone(), params);
-    let input = neurocube_bench::ramp_input(&case.net);
-    let (output, report) = cube.run_inference(&loaded, &input);
-    Observables {
-        layer_cycles: report.layers.iter().map(|l| l.cycles).collect(),
-        final_cycle: cube.now(),
-        output: output.as_slice().to_vec(),
-        stats: cube.stats_registry(),
-    }
-}
-
-/// Asserts two variant runs agree on every observable, naming the first
+/// Asserts two runs agree on every observable, naming the first
 /// diverging statistic on failure.
 fn assert_identical(a: &Observables, b: &Observables, what: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(
@@ -91,74 +63,22 @@ fn assert_identical(a: &Observables, b: &Observables, what: &str) -> Result<(), 
 }
 
 /// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 32 for the
-/// standard gate, 512 for `--simd`), otherwise `default`.
+/// standard gate, 512 for `--sparsity`), otherwise `default`.
 fn cases(default: u32) -> u32 {
     neurocube_sim::env_u64("PROPTEST_CASES").map_or(default, |v| v as u32)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(12)))]
-
-    /// The SoA batch kernels are bitwise identical to the scalar MacUnit
-    /// oracle over whole inferences: same registry, same tensor, same
-    /// cycle counts, for random networks.
-    #[test]
-    fn soa_path_matches_scalar_oracle(case in diff_case()) {
-        let soa = run_variant(&case, true, false, None);
-        let scalar = run_variant(&case, false, false, None);
-        assert_identical(&soa, &scalar, &format!(
-            "SoA vs scalar, dup={}, seed={}", case.dup, case.seed
-        ))?;
-    }
-
-    /// Stage-parallel PE ticking is bitwise identical to the serial loop —
-    /// the PEs really are independent within a tick. Runs on the SoA path
-    /// (the default the parallel mode would ship with).
-    #[test]
-    fn stage_parallel_matches_serial(case in diff_case()) {
-        let par = run_variant(&case, true, true, None);
-        let serial = run_variant(&case, true, false, None);
-        assert_identical(&par, &serial, &format!(
-            "stage-par vs serial, dup={}, seed={}", case.dup, case.seed
-        ))?;
-    }
-
-    /// The equivalences survive fault injection: with a deterministic
-    /// injector attached at the same seed, all three variants (scalar,
-    /// SoA, SoA + stage-par) still agree on every observable, including
-    /// the fault counters inside the registry.
-    #[test]
-    fn variants_agree_under_faults(
-        case in diff_case(),
-        rate_exp in 4u32..7, // uniform rate 1e-6 .. 1e-3
-        fault_seed in 0u64..1 << 32,
-    ) {
-        let cfg = FaultConfig::uniform(fault_seed, 10f64.powi(-(rate_exp as i32)));
-        let scalar = run_variant(&case, false, false, Some(cfg.clone()));
-        let soa = run_variant(&case, true, false, Some(cfg.clone()));
-        let par = run_variant(&case, true, true, Some(cfg));
-        assert_identical(&soa, &scalar, &format!(
-            "SoA vs scalar under faults, dup={}, seeds={}/{}",
-            case.dup, case.seed, fault_seed
-        ))?;
-        assert_identical(&par, &soa, &format!(
-            "stage-par vs serial under faults, dup={}, seeds={}/{}",
-            case.dup, case.seed, fault_seed
-        ))?;
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Sparsity fast paths: zero-operand skipping is observationally invisible.
 // ---------------------------------------------------------------------------
 
-/// Like [`run_variant`], but with the PE zero-operand fast paths pinned
-/// and the operand stream seeded with real zeros: every third weight and
-/// every other input pixel are zeroed, so the zero-lane classification
-/// and skip paths genuinely fire on every case.
+/// Runs `case` with the PE zero-operand fast paths pinned and the operand
+/// stream seeded with real zeros: every third weight and every other
+/// input pixel are zeroed, so the zero-lane classification and skip paths
+/// genuinely fire on every case. Skipping stays on process default — the
+/// skip/naive axis has its own suite (`skip_equivalence.rs`).
 fn run_sparsity_variant(
     case: &DiffCase,
-    simd: bool,
     sparsity: bool,
     fault: Option<FaultConfig>,
 ) -> Observables {
@@ -172,7 +92,6 @@ fn run_sparsity_variant(
         }
     }
     let mut cube = Neurocube::new(cfg);
-    cube.set_simd(Some(simd));
     cube.set_sparsity(Some(sparsity));
     cube.set_fault_config(fault);
     let loaded = cube.load(case.net.clone(), params);
@@ -201,18 +120,14 @@ proptest! {
 
     /// Sparsity on vs off is bitwise identical in every observable —
     /// full registry included — on random nets whose operand streams are
-    /// dense with real zeros, across both datapaths. Zero-skipping is a
-    /// host fast path, not a model change (DESIGN.md §13).
+    /// dense with real zeros. Zero-skipping is a host fast path, not a
+    /// model change (DESIGN.md §13).
     #[test]
     fn sparsity_fast_paths_are_bitwise_invisible(case in diff_case()) {
-        let on = run_sparsity_variant(&case, true, true, None);
-        let off = run_sparsity_variant(&case, true, false, None);
-        let scalar = run_sparsity_variant(&case, false, true, None);
+        let on = run_sparsity_variant(&case, true, None);
+        let off = run_sparsity_variant(&case, false, None);
         assert_identical(&on, &off, &format!(
-            "sparsity on vs off (SoA), dup={}, seed={}", case.dup, case.seed
-        ))?;
-        assert_identical(&on, &scalar, &format!(
-            "sparsity SoA vs scalar, dup={}, seed={}", case.dup, case.seed
+            "sparsity on vs off, dup={}, seed={}", case.dup, case.seed
         ))?;
     }
 
@@ -226,15 +141,10 @@ proptest! {
         fault_seed in 0u64..1 << 32,
     ) {
         let fcfg = FaultConfig::uniform(fault_seed, 10f64.powi(-(rate_exp as i32)));
-        let on = run_sparsity_variant(&case, true, true, Some(fcfg.clone()));
-        let off = run_sparsity_variant(&case, true, false, Some(fcfg.clone()));
-        let scalar = run_sparsity_variant(&case, false, true, Some(fcfg));
+        let on = run_sparsity_variant(&case, true, Some(fcfg.clone()));
+        let off = run_sparsity_variant(&case, false, Some(fcfg));
         assert_identical(&on, &off, &format!(
             "sparsity on vs off under faults, dup={}, seeds={}/{}",
-            case.dup, case.seed, fault_seed
-        ))?;
-        assert_identical(&on, &scalar, &format!(
-            "sparsity SoA vs scalar under faults, dup={}, seeds={}/{}",
             case.dup, case.seed, fault_seed
         ))?;
     }
@@ -250,8 +160,8 @@ fn sparsity_classification_is_not_vacuous() {
         dup: true,
         seed: 11,
     };
-    let on = run_sparsity_variant(&case, true, true, None);
-    let off = run_sparsity_variant(&case, true, false, None);
+    let on = run_sparsity_variant(&case, true, None);
+    let off = run_sparsity_variant(&case, false, None);
     let gated = on.stats.counter("sparsity.pe.lanes_gated");
     assert!(
         gated > 0,
@@ -446,40 +356,4 @@ proptest! {
             );
         }
     }
-}
-
-/// Deterministic anchor: on a paper-style workload all three datapath
-/// variants produce identical registries, and the run actually exercises
-/// MACs (a vacuously-idle workload would prove nothing).
-#[test]
-fn all_variants_agree_on_paper_workload() {
-    let case = DiffCase {
-        net: neurocube_nn::workloads::mnist_mlp(64),
-        dup: true,
-        seed: 7,
-    };
-    let scalar = run_variant(&case, false, false, None);
-    let soa = run_variant(&case, true, false, None);
-    let par = run_variant(&case, true, true, None);
-    let macs: u64 = (0..16)
-        .map(|i| scalar.stats.counter(&format!("pe{i}.mac_ops")))
-        .sum();
-    assert!(
-        macs > 0,
-        "mnist_mlp no longer fires any MACs; the anchor is vacuous"
-    );
-    assert_eq!(
-        scalar.stats.first_difference(&soa.stats),
-        None,
-        "SoA registry diverges from scalar on mnist_mlp"
-    );
-    assert_eq!(
-        soa.stats.first_difference(&par.stats),
-        None,
-        "stage-par registry diverges from serial on mnist_mlp"
-    );
-    assert_eq!(scalar.output, soa.output);
-    assert_eq!(soa.output, par.output);
-    assert_eq!(scalar.final_cycle, soa.final_cycle);
-    assert_eq!(soa.final_cycle, par.final_cycle);
 }
