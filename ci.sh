@@ -54,15 +54,16 @@
 #                    budget.
 #   ci.sh --twospeed - same gate, then the two-speed audit suites at
 #                    depth (audit-sampler purity and defect-catching
-#                    properties at 512 cases, plus the histogram and
-#                    env-knob edge suites) and the two-speed benchmark
-#                    (BENCH_twospeed.json): 10^6 requests per scenario on
-#                    the analytical path, with built-in hard gates — zero
-#                    envelope violations at every audit rate, a bitwise
-#                    identical audited subset across serial/threaded/
-#                    rerun, and >=100x analytical speedup over full
-#                    replay. The standard gate already runs the audit
-#                    property suite at the pinned 32-case budget.
+#                    properties at 512 cases, plus the histogram edge
+#                    suite and the knob-parsing suite) and the two-speed
+#                    benchmark (BENCH_twospeed.json): 10^6 requests per
+#                    scenario on the analytical path, with built-in hard
+#                    gates — zero envelope violations at every audit
+#                    rate, a bitwise identical audited subset across
+#                    serial/threaded/rerun, and >=100x analytical
+#                    speedup over full replay. The standard gate
+#                    already runs the audit property suite at the
+#                    pinned 32-case budget.
 #   ci.sh --cluster - same gate, then the cluster suites at depth (the
 #                    sharded-vs-single-cube / skip-vs-naive / certified
 #                    link-bound properties at 512 cases, plus the cluster
@@ -95,14 +96,21 @@ PROPTEST_CASES=32 cargo test -q \
 PROPTEST_CASES=32 cargo test -q \
     -p neurocube-serve --test serve_properties
 # Two-speed audit properties (sampler purity, defect catching) at the
-# same pinned budget; the env-knob suite rides along because it shares
-# the process-global EnvGuard with these binaries.
+# same pinned budget, plus the knob-parsing suite (`Knobs::parse` over
+# literal pairs; it touches no process environment).
 PROPTEST_CASES=32 cargo test -q \
     -p neurocube-integration-tests --test twospeed_audit --test env_knobs
 # Cluster sharding properties: sharded == single-big-cube bitwise,
 # cluster-wide skip == naive, certified link-aware cycle bounds.
 PROPTEST_CASES=32 cargo test -q \
     -p neurocube-integration-tests --test cluster_sharding
+# Knobs are parsed once, at the program edge (`neurocube_bench::Knobs`):
+# no other crate's library source reads the environment.
+if grep -rnE '\benv::vars?(_os)?\b' crates/*/src --include='*.rs' \
+    | grep -v '^crates/bench/src/'; then
+    echo "error: environment read below the program edge (parse it in neurocube_bench::Knobs)" >&2
+    exit 1
+fi
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 # Doc gate over our own crates (the vendored dev-deps are exempt).

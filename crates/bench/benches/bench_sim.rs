@@ -19,7 +19,7 @@
 
 use neurocube_bench::{
     bench_workloads, header, run_inference_faulty, run_inference_mode, BenchWorkload as Workload,
-    SkipTelemetry,
+    Knobs, SkipTelemetry,
 };
 use neurocube_fault::FaultConfig;
 use std::path::PathBuf;
@@ -67,18 +67,14 @@ impl Row {
     }
 }
 
-/// Timing repetitions per mode; the reported time is the *fastest* rep.
-/// Single sub-second runs jitter ±15% and worse on shared hardware,
-/// which swamps the real skip-vs-naive margin on the saturated shapes;
-/// the minimum over a few reps is the standard noise-robust estimator of
-/// the achievable time. `NEUROCUBE_BENCH_REPS` overrides (min 1).
-fn reps() -> u32 {
-    neurocube_sim::env_u64("NEUROCUBE_BENCH_REPS").map_or(3, |v| (v as u32).max(1))
-}
-
-/// Runs `w` at least `reps()` times in one mode and returns the fastest
-/// wall-clock time plus the (deterministic, rep-invariant) observables of the last
-/// rep. Short workloads get extra draws: a 0.4 s run needs more samples
+/// Runs `w` at least `reps` times (`NEUROCUBE_BENCH_REPS`) in one mode
+/// and reports the *fastest* rep. Single sub-second runs jitter ±15% and
+/// worse on shared hardware, which swamps the real skip-vs-naive margin
+/// on the saturated shapes; the minimum over a few reps is the standard
+/// noise-robust estimator of the achievable time.
+///
+/// Returns the fastest wall-clock time plus the (deterministic,
+/// rep-invariant) observables of the last rep. Short workloads get extra draws: a 0.4 s run needs more samples
 /// than a 20 s run for the minimum to converge, so the loop keeps going
 /// until the mode has accumulated ~4 s of measurement (capped at three
 /// times the base rep count) — without this, the sub-second workloads'
@@ -86,13 +82,14 @@ fn reps() -> u32 {
 fn timed(
     w: &Workload,
     skip: bool,
+    reps: u32,
 ) -> (
     f64,
     neurocube::RunReport,
     neurocube_sim::StatsRegistry,
     SkipTelemetry,
 ) {
-    let base = reps();
+    let base = reps;
     let cap = base.saturating_mul(3);
     let mut best = f64::INFINITY;
     let mut total = 0.0;
@@ -100,8 +97,7 @@ fn timed(
     let mut out = None;
     while done < base || (total < 4.0 && done < cap) {
         let start = Instant::now();
-        let (report, stats, telemetry) =
-            run_inference_mode(w.cfg.clone(), &w.spec, w.seed, Some(skip));
+        let (report, stats, telemetry) = run_inference_mode(w.cfg.clone(), &w.spec, w.seed, skip);
         let secs = start.elapsed().as_secs_f64();
         best = best.min(secs);
         total += secs;
@@ -161,6 +157,7 @@ fn write_json(rows: &[Row], path: &PathBuf) {
 }
 
 fn main() {
+    let knobs = Knobs::from_env();
     header(
         "BENCH_sim",
         "event-horizon fast-forward vs naive per-cycle loop (Fig. 14/15 workloads)",
@@ -178,8 +175,8 @@ fn main() {
     );
     let mut rows = Vec::new();
     for (i, w) in bench_workloads().iter().enumerate() {
-        let (naive_secs, naive_report, naive_stats, naive_tel) = timed(w, false);
-        let (skip_secs, skip_report, skip_stats, skip_tel) = timed(w, true);
+        let (naive_secs, naive_report, naive_stats, naive_tel) = timed(w, false, knobs.bench_reps);
+        let (skip_secs, skip_report, skip_stats, skip_tel) = timed(w, true, knobs.bench_reps);
         assert_eq!(
             naive_tel,
             SkipTelemetry::default(),
@@ -272,7 +269,7 @@ fn main() {
     write_json(&rows, &out);
     println!("wrote {}", out.display());
 
-    if let Some(gate) = neurocube_sim::env_f64("NEUROCUBE_BENCH_MIN_SPEEDUP") {
+    if let Some(gate) = knobs.bench_min_speedup {
         // The gate compares the skipping loop against the *seed* naive
         // loop's pinned throughput, not against the same-binary naive
         // run: on the saturated fig. 14 shapes the two loops in one

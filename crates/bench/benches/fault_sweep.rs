@@ -16,8 +16,8 @@
 //!
 //! The zero-rate sweep point is asserted bitwise identical to a run with
 //! no injector attached — the fault machinery is provably free when off.
-//! Every point is seed-replayable: the same `NEUROCUBE_FAULT_SEED` (here
-//! pinned per workload) reproduces the same faults bit for bit.
+//! Every point is seed-replayable: the same `FaultConfig` seed (pinned
+//! per workload) reproduces the same faults bit for bit.
 
 use neurocube::SystemConfig;
 use neurocube_bench::{csv_f, header, run_inference_faulty, CsvSink, FaultRun};

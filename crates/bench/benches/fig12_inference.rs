@@ -10,11 +10,11 @@
 //! 292.14 frames/s at 15 nm.
 
 use neurocube::SystemConfig;
-use neurocube_bench::{csv_f, header, print_layer_panels, run_inference, scene_scale, CsvSink};
+use neurocube_bench::{csv_f, header, print_layer_panels, run_inference, CsvSink, Knobs};
 use neurocube_nn::workloads;
 
 fn main() {
-    let (h, w, label) = scene_scale();
+    let (h, w, label) = Knobs::from_env().scale.dims();
     header(
         "Fig. 12",
         &format!("scene-labeling inference, input {w}x{h} [{label}]"),

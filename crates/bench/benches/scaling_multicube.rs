@@ -29,8 +29,8 @@
 //! fabric grows.
 
 use neurocube::{Neurocube, SystemConfig};
-use neurocube_bench::header;
-use neurocube_cluster::{shard_graph, Cluster, LinkConfig, ShardedGraph};
+use neurocube_bench::{header, Knobs};
+use neurocube_cluster::{shard_graph, Cluster, ShardedGraph};
 use neurocube_fixed::{Activation, Q88};
 use neurocube_nn::{GraphBuilder, GraphSpec, LayerSpec, Shape, Tensor, INPUT};
 use neurocube_sim::BatchRunner;
@@ -245,9 +245,10 @@ fn main() {
     );
     let mut cfg = SystemConfig::paper(true);
     cfg.memory.region_bytes = REGION_BYTES;
+    let knobs = Knobs::from_env();
     let link_for = |fabric: usize| {
-        LinkConfig::from_env(fabric).unwrap_or_else(|e| {
-            eprintln!("scaling_multicube: {e}");
+        knobs.link(fabric).unwrap_or_else(|e| {
+            eprintln!("scaling_multicube: NEUROCUBE_CLUSTER_*: {e}");
             std::process::exit(2);
         })
     };

@@ -139,10 +139,10 @@ fn main() {
         let input = sparse_input(&spec, keep);
         let params = sparse_params(&spec, 9, keep);
         let t0 = Instant::now();
-        let dense = run_inference_sparsity(cfg.clone(), &spec, params.clone(), &input, Some(false));
+        let dense = run_inference_sparsity(cfg.clone(), &spec, params.clone(), &input, false);
         let dense_secs = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let sparse = run_inference_sparsity(cfg.clone(), &spec, params, &input, Some(true));
+        let sparse = run_inference_sparsity(cfg.clone(), &spec, params, &input, true);
         let sparse_secs = t1.elapsed().as_secs_f64();
 
         // The losslessness contract, checked before any number is used.

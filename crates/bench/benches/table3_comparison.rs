@@ -6,7 +6,7 @@
 //! reported GPU implementation, with GPU-like programmability.
 
 use neurocube::SystemConfig;
-use neurocube_bench::{header, run_inference, scene_scale};
+use neurocube_bench::{header, run_inference, Knobs};
 use neurocube_nn::workloads;
 use neurocube_power::efficiency::{
     gpu_efficiency_improvement, neurocube_rows, neurocube_system_power_w, PUBLISHED_PLATFORMS,
@@ -14,7 +14,7 @@ use neurocube_power::efficiency::{
 use neurocube_power::table2::ProcessNode;
 
 fn main() {
-    let (h, w, label) = scene_scale();
+    let (h, w, label) = Knobs::from_env().scale.dims();
     header(
         "Table III",
         &format!("platform comparison; measured on scene labeling {w}x{h} [{label}]"),

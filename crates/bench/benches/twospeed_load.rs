@@ -28,7 +28,7 @@
 //! with `NEUROCUBE_BENCH_TWOSPEED_OUT`).
 
 use neurocube::SystemConfig;
-use neurocube_bench::header;
+use neurocube_bench::{header, Knobs};
 use neurocube_fixed::Activation;
 use neurocube_nn::{workloads, LayerSpec, NetworkSpec, Shape};
 use neurocube_serve::{
@@ -184,6 +184,9 @@ fn write_json(
 }
 
 fn main() {
+    let min_speedup = Knobs::from_env()
+        .twospeed_min_speedup
+        .unwrap_or(DEFAULT_MIN_SPEEDUP);
     header(
         "BENCH_twospeed",
         "analytical fast path at 10^6 requests/point with sampled cycle-accurate audits",
@@ -372,8 +375,6 @@ fn main() {
         "rate 1.0 must fold the executor's checksum"
     );
     let speedup = replay_wall / analytical_wall;
-    let min_speedup = neurocube_sim::env_f64("NEUROCUBE_BENCH_TWOSPEED_MIN_SPEEDUP")
-        .unwrap_or(DEFAULT_MIN_SPEEDUP);
     println!(
         "\nspeedup: full replay {:.1} ms vs analytical {:.4} ms -> {:.0}x (gate {:.0}x)",
         replay_wall * 1e3,

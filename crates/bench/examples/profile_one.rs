@@ -8,7 +8,9 @@
 //!     --example profile_one -- fig14_conv_k7_nodup skip
 //! ```
 //!
-//! The second argument is `skip`, `naive`, or omitted (process default).
+//! The second argument is `skip`, `naive`, or omitted (skip, unless
+//! `NEUROCUBE_NO_SKIP` is set). `NEUROCUBE_STAGE_PROFILE=1` turns on the
+//! cycle loop's per-stage breakdown on stderr.
 //! An optional third argument repeats the run N times and reports the
 //! fastest (wall-clock noise on shared hardware swamps single runs). An
 //! optional fourth argument is a substring filter: every final-registry
@@ -16,10 +18,12 @@
 //! the PNGs spent their null ticks).
 //! Run with no arguments to list the workload names.
 
-use neurocube_bench::{bench_workloads, run_inference_mode, run_inference_stats};
+use neurocube::Neurocube;
+use neurocube_bench::{bench_workloads, ramp_input, run_inference_stats, Knobs};
 use std::time::Instant;
 
 fn main() {
+    let knobs = Knobs::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let workloads = bench_workloads();
     let Some(name) = args.first() else {
@@ -34,9 +38,9 @@ fn main() {
         .find(|w| w.name == *name)
         .unwrap_or_else(|| panic!("unknown workload {name:?} (run with no args for the list)"));
     let skip = match args.get(1).map(String::as_str) {
-        Some("skip") => Some(true),
-        Some("naive") => Some(false),
-        None => None,
+        Some("skip") => true,
+        Some("naive") => false,
+        None => knobs.skip,
         Some(other) => panic!("unknown mode {other:?} (want skip|naive)"),
     };
     let reps: u32 = args
@@ -47,11 +51,15 @@ fn main() {
     let mut last = None;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
-        let (report, _, telemetry) = run_inference_mode(w.cfg.clone(), &w.spec, w.seed, skip);
+        let mut cube = Neurocube::new(w.cfg.clone());
+        cube.set_cycle_skip(skip);
+        cube.set_stage_profile(knobs.stage_profile);
+        let loaded = cube.load(w.spec.clone(), w.spec.init_params(w.seed, 0.25));
+        let (_, report) = cube.run_inference(&loaded, &ramp_input(&w.spec));
         best_secs = best_secs.min(start.elapsed().as_secs_f64());
-        last = Some((report, telemetry));
+        last = Some((report, cube.horizon_jumps(), cube.skipped_cycles()));
     }
-    let (report, telemetry) = last.expect("at least one rep");
+    let (report, horizon_jumps, skipped_cycles) = last.expect("at least one rep");
     let cycles = report.total_cycles();
     println!(
         "{}: {} cycles in {:.3}s = {:.0} cycles/s ({} jumps, {} skipped)",
@@ -59,8 +67,8 @@ fn main() {
         cycles,
         best_secs,
         cycles as f64 / best_secs,
-        telemetry.horizon_jumps,
-        telemetry.skipped_cycles,
+        horizon_jumps,
+        skipped_cycles,
     );
     if let Some(filter) = args.get(3) {
         let (_, stats) = run_inference_stats(w.cfg.clone(), &w.spec, w.seed);

@@ -1,17 +1,19 @@
 //! Re-pins the `bench_sim` seed-baseline constants: times the five
-//! `BENCH_sim` workloads through the plain naive loop (`run_inference`,
-//! which honours `NEUROCUBE_NO_SKIP` but defaults to the process-wide
-//! setting) and prints cycles-per-second for each.
+//! `BENCH_sim` workloads and prints cycles-per-second for each. The loop
+//! skips unless `NEUROCUBE_NO_SKIP` is set, so run it with
+//! `NEUROCUBE_NO_SKIP=1` for the naive column.
 //!
 //! To regenerate `SEED_NAIVE_CPS` in `benches/bench_sim.rs` on new
 //! reference hardware: check out the pinned seed commit in a worktree,
-//! copy this file in (the workload table predates it there), build
-//! `--release`, run with `NEUROCUBE_NO_SKIP=1`, and transcribe the `cps`
-//! column. Run it on the current tree to sanity-check the naive column
-//! of `BENCH_sim.json` instead.
+//! copy this file in (the workload table predates it there), replace the
+//! `Knobs`/`run_inference_mode` call with the seed's `run_inference`
+//! (the seed reads `NEUROCUBE_NO_SKIP` itself), build `--release`, run
+//! with `NEUROCUBE_NO_SKIP=1`, and transcribe the `cps` column. Run it on
+//! the current tree to sanity-check the naive column of `BENCH_sim.json`
+//! instead.
 
 use neurocube::SystemConfig;
-use neurocube_bench::run_inference;
+use neurocube_bench::{run_inference_mode, Knobs};
 use neurocube_fixed::Activation;
 use neurocube_nn::{LayerSpec, NetworkSpec, Shape};
 use std::time::Instant;
@@ -33,6 +35,7 @@ fn fc_net(inputs: usize, hidden: usize) -> NetworkSpec {
 }
 
 fn main() {
+    let skip = Knobs::from_env().skip;
     let workloads: Vec<(&str, SystemConfig, NetworkSpec, u64)> = vec![
         (
             "fig14_conv_k3_dup",
@@ -67,7 +70,7 @@ fn main() {
     ];
     for (name, cfg, spec, seed) in workloads {
         let start = Instant::now();
-        let report = run_inference(cfg, &spec, seed);
+        let (report, _, _) = run_inference_mode(cfg, &spec, seed, skip);
         let secs = start.elapsed().as_secs_f64();
         let cycles = report.total_cycles();
         println!(

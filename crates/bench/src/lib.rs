@@ -3,33 +3,28 @@
 //! Each table and figure of the paper has a dedicated bench target (run
 //! `cargo bench -p neurocube-bench --bench <name>`); they print the same
 //! rows/series the paper reports so `EXPERIMENTS.md` can record
-//! paper-vs-measured values. Heavy experiments accept a scale factor
-//! through the `NEUROCUBE_SCALE` environment variable (see
-//! [`scene_scale`]): `full` runs the paper's exact geometry, the default
-//! `fast` runs a proportionally reduced input that preserves every
-//! qualitative shape at a fraction of the wall-clock time.
+//! paper-vs-measured values. The harnesses are the program edge: one
+//! that reads `NEUROCUBE_*` knobs parses them once into [`Knobs`] and
+//! passes what it needs down explicitly. Heavy experiments accept a scale factor
+//! through `NEUROCUBE_SCALE` ([`SceneScale`]): `full` runs the paper's
+//! exact geometry, the default `fast` runs a proportionally reduced input
+//! that preserves every qualitative shape at a fraction of the wall-clock
+//! time.
 
 #![forbid(unsafe_code)]
+
+mod env;
+
+pub use env::{Knobs, SceneScale};
 
 use neurocube::{Neurocube, RunReport, SystemConfig};
 use neurocube_fault::FaultConfig;
 use neurocube_fixed::Q88;
 use neurocube_nn::{GraphSpec, NetworkSpec, Tensor};
-use neurocube_sim::{env_str, BatchRunner, StatsRegistry};
+use neurocube_sim::{BatchRunner, StatsRegistry};
 use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
-
-/// The scene-labeling input resolution selected by `NEUROCUBE_SCALE`:
-/// `full` → the paper's 320×240, `fast` (default) → 160×120,
-/// `tiny` → 80×60 (CI smoke runs).
-pub fn scene_scale() -> (usize, usize, &'static str) {
-    match env_str("NEUROCUBE_SCALE").as_deref() {
-        Some("full") => (240, 320, "full (paper 320x240)"),
-        Some("tiny") => (60, 80, "tiny (80x60)"),
-        _ => (120, 160, "fast (160x120)"),
-    }
-}
 
 /// Deterministic pseudo-image input for throughput runs (values don't
 /// affect timing; this keeps runs reproducible).
@@ -53,7 +48,7 @@ pub fn run_inference_stats(
     spec: &NetworkSpec,
     seed: u64,
 ) -> (RunReport, StatsRegistry) {
-    let (report, stats, _) = run_inference_mode(cfg, spec, seed, None);
+    let (report, stats, _) = run_inference_mode(cfg, spec, seed, true);
     (report, stats)
 }
 
@@ -68,16 +63,16 @@ pub struct SkipTelemetry {
 }
 
 /// Like [`run_inference_stats`], but with explicit control over
-/// event-horizon fast-forwarding: `Some(true)` forces skipping on,
-/// `Some(false)` forces the naive per-cycle oracle, `None` inherits the
-/// `NEUROCUBE_NO_SKIP` process default. Returns the run's fast-forward
-/// telemetry alongside the report — the wall-clock benchmark uses this to
-/// compare both modes and prove they agree bitwise.
+/// event-horizon fast-forwarding: `true` skips (what
+/// [`run_inference_stats`] does), `false` runs the naive per-cycle
+/// oracle. Returns the run's fast-forward telemetry alongside the report
+/// — the wall-clock benchmark uses this to compare both modes and prove
+/// they agree bitwise.
 pub fn run_inference_mode(
     cfg: SystemConfig,
     spec: &NetworkSpec,
     seed: u64,
-    skip: Option<bool>,
+    skip: bool,
 ) -> (RunReport, StatsRegistry, SkipTelemetry) {
     let params = spec.init_params(seed, 0.25);
     let mut cube = Neurocube::new(cfg);
@@ -106,16 +101,16 @@ pub struct SparsityRun {
 
 /// Like [`run_inference_mode`], but the caller supplies the parameter
 /// image and input tensor (to control operand density) and pins the PE
-/// zero-operand fast paths: `Some(false)` forces the dense kernels,
-/// `Some(true)` enables skipping, `None` inherits `NEUROCUBE_NO_SPARSITY`.
-/// Both settings are bitwise identical in every observable (DESIGN.md
-/// §13); the sweep asserts that before reporting anything.
+/// zero-operand fast paths: `false` forces the dense kernels, `true`
+/// enables skipping. Both settings are bitwise identical in every
+/// observable (DESIGN.md §13); the sweep asserts that before reporting
+/// anything.
 pub fn run_inference_sparsity(
     cfg: SystemConfig,
     spec: &NetworkSpec,
     params: Vec<Vec<Q88>>,
     input: &Tensor,
-    sparsity: Option<bool>,
+    sparsity: bool,
 ) -> SparsityRun {
     let mut cube = Neurocube::new(cfg);
     cube.set_sparsity(sparsity);
@@ -238,7 +233,7 @@ pub fn run_graph_mode(
     cfg: SystemConfig,
     graph: &GraphSpec,
     seed: u64,
-    skip: Option<bool>,
+    skip: bool,
     pipelined: bool,
 ) -> GraphRunOutput {
     let params = graph.init_params(seed, 0.25);
@@ -278,9 +273,8 @@ pub struct FaultRun {
 }
 
 /// Like [`run_inference_stats`], but with an explicit fault configuration
-/// (`None` detaches any environment-attached injector) and the output
-/// tensor returned, so sweeps can measure accuracy degradation against a
-/// zero-fault reference.
+/// (`None` runs fault-free) and the output tensor returned, so sweeps can
+/// measure accuracy degradation against a zero-fault reference.
 pub fn run_inference_faulty(
     cfg: SystemConfig,
     spec: &NetworkSpec,

@@ -73,7 +73,8 @@ pub struct Cluster {
     transfers: Vec<Transfer>,
     /// Cycle each cube's egress serializer frees up.
     link_free_at: Vec<u64>,
-    skip_override: Option<bool>,
+    /// Whether runs fast-forward over quiescent stretches (on by default).
+    skip: bool,
     // cluster.* stats — all event-driven, so bitwise identical across
     // skip/naive and serial/threaded runs.
     transfers_sent: u64,
@@ -127,7 +128,7 @@ impl Cluster {
             stage_busy: vec![None; stages],
             transfers: Vec::new(),
             link_free_at: vec![0; n],
-            skip_override: None,
+            skip: true,
             transfers_sent: 0,
             bytes_sent: 0,
             deliveries: 0,
@@ -147,10 +148,10 @@ impl Cluster {
         self.now
     }
 
-    /// Forces event-horizon fast-forward on or off for subsequent runs
-    /// (otherwise the `NEUROCUBE_NO_SKIP` environment default applies).
+    /// Turns event-horizon fast-forward on (the default) or off for
+    /// subsequent runs.
     pub fn set_cycle_skip(&mut self, enabled: bool) {
-        self.skip_override = Some(enabled);
+        self.skip = enabled;
     }
 
     /// Runs one inference through the pipeline.
@@ -249,11 +250,7 @@ impl Cluster {
     }
 
     fn build_loop(&self) -> CycleLoop<Cluster> {
-        let mut l = CycleLoop::new();
-        if let Some(skip) = self.skip_override {
-            l = l.with_skip(skip);
-        }
-        l = l.stage(Ingress);
+        let mut l = CycleLoop::new().with_skip(self.skip).stage(Ingress);
         for i in 0..self.cubes.len() {
             l = l.stage(Member(i));
         }

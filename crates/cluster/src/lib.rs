@@ -6,9 +6,8 @@
 //! joining cubes with SerDes links — in three layers:
 //!
 //! * [`link`] — the fabric model: [`ClusterTopology`] (ring / 2D mesh),
-//!   [`LinkConfig`] (bandwidth, latency, pJ/bit, with
-//!   `NEUROCUBE_CLUSTER_*` environment overrides read fresh per
-//!   construction and rejected with a typed [`LinkConfigError`] when out
+//!   [`LinkConfig`] (bandwidth, latency, pJ/bit, checked by
+//!   [`LinkConfig::validate`] with a typed [`LinkConfigError`] when out
 //!   of range), and the cycle/Joule charge formulas shared with
 //!   `neurocube_golden::timing` and `neurocube_power::hmc`.
 //! * [`shard`] — the planner: [`shard_graph`] cuts a validated

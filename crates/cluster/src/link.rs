@@ -73,10 +73,9 @@ impl ClusterTopology {
         }
     }
 
-    /// Parses a `NEUROCUBE_CLUSTER_TOPOLOGY` value for a cluster of
-    /// `cubes` cubes: `ring`, `mesh` (near-square), or `meshWxH` with an
-    /// explicit grid. Returns `None` for anything else or a grid too small
-    /// for the cluster.
+    /// Parses a topology name for a cluster of `cubes` cubes: `ring`,
+    /// `mesh` (near-square), or `meshWxH` with an explicit grid. Returns
+    /// `None` for anything else or a grid too small for the cluster.
     pub fn parse(s: &str, cubes: usize) -> Option<ClusterTopology> {
         match s {
             "ring" => Some(ClusterTopology::Ring(cubes)),
@@ -118,43 +117,29 @@ impl LinkConfig {
         }
     }
 
-    /// [`LinkConfig::hmc_ext`] with the `NEUROCUBE_CLUSTER_*` environment
-    /// knobs applied — read fresh on every call (no caching), so tests can
-    /// set and unset them per construction.
+    /// Checks the per-link figures are usable: a bandwidth that is finite
+    /// and positive (zero or negative bandwidth would make links free or
+    /// overflow the cycle arithmetic), and a latency and energy that are
+    /// finite and non-negative (zero is a legitimate "ideal" latency and
+    /// "free" energy). The planner refuses a link that fails this check.
     ///
     /// # Errors
     ///
-    /// Returns a [`LinkConfigError`] when a set knob is out of range: a
-    /// topology [`ClusterTopology::parse`] rejects, a bandwidth that is
-    /// not finite and positive (zero or negative bandwidth would make
-    /// links free or overflow the cycle arithmetic), or a latency or
-    /// energy that is negative or not finite. A misconfiguration is
-    /// reported, never silently defaulted away.
-    pub fn from_env(cubes: usize) -> Result<LinkConfig, LinkConfigError> {
-        let mut link = LinkConfig::hmc_ext(cubes);
-        if let Some(s) = neurocube_sim::env::cluster_topology() {
-            link.topology =
-                ClusterTopology::parse(&s, cubes).ok_or(LinkConfigError::Topology(s))?;
+    /// Returns the first out-of-range figure as a [`LinkConfigError`].
+    pub fn validate(&self) -> Result<(), LinkConfigError> {
+        let g = self.bandwidth_gbps;
+        if !(g.is_finite() && g > 0.0) {
+            return Err(LinkConfigError::Bandwidth(g));
         }
-        if let Some(g) = neurocube_sim::env::cluster_link_gbps() {
-            if !(g.is_finite() && g > 0.0) {
-                return Err(LinkConfigError::Bandwidth(g));
-            }
-            link.bandwidth_gbps = g;
+        let ns = self.latency_ns;
+        if !(ns.is_finite() && ns >= 0.0) {
+            return Err(LinkConfigError::Latency(ns));
         }
-        if let Some(ns) = neurocube_sim::env::cluster_link_ns() {
-            if !(ns.is_finite() && ns >= 0.0) {
-                return Err(LinkConfigError::Latency(ns));
-            }
-            link.latency_ns = ns;
+        let pj = self.pj_per_bit;
+        if !(pj.is_finite() && pj >= 0.0) {
+            return Err(LinkConfigError::Energy(pj));
         }
-        if let Some(pj) = neurocube_sim::env::cluster_pj_bit() {
-            if !(pj.is_finite() && pj >= 0.0) {
-                return Err(LinkConfigError::Energy(pj));
-            }
-            link.pj_per_bit = pj;
-        }
-        Ok(link)
+        Ok(())
     }
 
     /// Reference-clock cycles for `bytes` to cross `hops` links (pacing
@@ -176,18 +161,17 @@ impl LinkConfig {
     }
 }
 
-/// A `NEUROCUBE_CLUSTER_*` knob holding a value the link model cannot
-/// use (see [`LinkConfig::from_env`]).
+/// A link setting the link model cannot use (see
+/// [`LinkConfig::validate`] and [`ClusterTopology::parse`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum LinkConfigError {
-    /// `NEUROCUBE_CLUSTER_TOPOLOGY` names no topology that fits the
-    /// cluster.
+    /// A topology name that names no topology fitting the cluster.
     Topology(String),
-    /// `NEUROCUBE_CLUSTER_LINK_GBPS` is not finite and positive.
+    /// A bandwidth (GB/s) that is not finite and positive.
     Bandwidth(f64),
-    /// `NEUROCUBE_CLUSTER_LINK_NS` is negative or not finite.
+    /// A per-hop latency (ns) that is negative or not finite.
     Latency(f64),
-    /// `NEUROCUBE_CLUSTER_PJ_BIT` is negative or not finite.
+    /// A SerDes energy (pJ/bit) that is negative or not finite.
     Energy(f64),
 }
 
@@ -196,21 +180,18 @@ impl fmt::Display for LinkConfigError {
         match self {
             LinkConfigError::Topology(s) => write!(
                 f,
-                "NEUROCUBE_CLUSTER_TOPOLOGY: unrecognized value {s:?} \
+                "link topology: unrecognized value {s:?} \
                  (valid: ring, mesh, meshWxH covering the cluster)"
             ),
-            LinkConfigError::Bandwidth(g) => write!(
-                f,
-                "NEUROCUBE_CLUSTER_LINK_GBPS: {g} is not a finite positive bandwidth"
-            ),
-            LinkConfigError::Latency(ns) => write!(
-                f,
-                "NEUROCUBE_CLUSTER_LINK_NS: {ns} is not a finite non-negative latency"
-            ),
-            LinkConfigError::Energy(pj) => write!(
-                f,
-                "NEUROCUBE_CLUSTER_PJ_BIT: {pj} is not a finite non-negative energy"
-            ),
+            LinkConfigError::Bandwidth(g) => {
+                write!(f, "link bandwidth: {g} GB/s is not finite and positive")
+            }
+            LinkConfigError::Latency(ns) => {
+                write!(f, "link latency: {ns} ns is not finite and non-negative")
+            }
+            LinkConfigError::Energy(pj) => {
+                write!(f, "link energy: {pj} pJ/bit is not finite and non-negative")
+            }
         }
     }
 }

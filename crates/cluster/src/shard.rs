@@ -353,6 +353,8 @@ struct Prefix {
 /// # Errors
 ///
 /// * [`CompileError::EmptyPool`] for a zero-cube topology.
+/// * [`CompileError::InvalidLink`] when [`LinkConfig::validate`] rejects
+///   `link`.
 /// * [`CompileError::ClusterOverCapacity`] when a feasible split exists
 ///   but needs more cubes than the cluster has.
 /// * The single-cube [`CompileError`] (over-capacity, invalid graph, …)
@@ -367,6 +369,8 @@ pub fn shard_graph(
     if available == 0 {
         return Err(CompileError::EmptyPool);
     }
+    link.validate()
+        .map_err(|e| CompileError::InvalidLink(e.to_string()))?;
     if params.len() != graph.depth() {
         return Err(CompileError::WeightLayerCount {
             expected: graph.depth(),
@@ -675,6 +679,100 @@ mod tests {
             }
             other => panic!("expected ClusterOverCapacity, got {other}"),
         }
+    }
+
+    /// A hand-built link the planner cannot price is a typed error, never
+    /// a panic: a zero bandwidth used to overflow the link-cycle
+    /// arithmetic inside the planner.
+    #[test]
+    fn invalid_links_are_rejected_with_typed_errors() {
+        use crate::link::LinkConfigError::{Bandwidth, Energy, Latency};
+        let (graph, params) = fat_mlp();
+        let mut cfg = SystemConfig::paper(true);
+        cfg.memory.region_bytes = 6 * 1024;
+        let base = LinkConfig::hmc_ext(4);
+        for (link, want) in [
+            (
+                LinkConfig {
+                    bandwidth_gbps: 0.0,
+                    ..base
+                },
+                Bandwidth(0.0),
+            ),
+            (
+                LinkConfig {
+                    bandwidth_gbps: -40.0,
+                    ..base
+                },
+                Bandwidth(-40.0),
+            ),
+            (
+                LinkConfig {
+                    bandwidth_gbps: f64::INFINITY,
+                    ..base
+                },
+                Bandwidth(f64::INFINITY),
+            ),
+            (
+                LinkConfig {
+                    bandwidth_gbps: f64::NAN,
+                    ..base
+                },
+                Bandwidth(f64::NAN),
+            ),
+            (
+                LinkConfig {
+                    latency_ns: -1.0,
+                    ..base
+                },
+                Latency(-1.0),
+            ),
+            (
+                LinkConfig {
+                    latency_ns: f64::INFINITY,
+                    ..base
+                },
+                Latency(f64::INFINITY),
+            ),
+            (
+                LinkConfig {
+                    latency_ns: f64::NAN,
+                    ..base
+                },
+                Latency(f64::NAN),
+            ),
+            (
+                LinkConfig {
+                    pj_per_bit: -0.5,
+                    ..base
+                },
+                Energy(-0.5),
+            ),
+            (
+                LinkConfig {
+                    pj_per_bit: f64::INFINITY,
+                    ..base
+                },
+                Energy(f64::INFINITY),
+            ),
+            (
+                LinkConfig {
+                    pj_per_bit: f64::NAN,
+                    ..base
+                },
+                Energy(f64::NAN),
+            ),
+        ] {
+            let err = shard_graph(&cfg, &graph, &params, &link).expect_err("invalid link");
+            assert_eq!(err, CompileError::InvalidLink(want.to_string()), "{link:?}");
+        }
+        // The boundary values stay legal: an ideal, free link still plans.
+        let ideal = LinkConfig {
+            latency_ns: 0.0,
+            pj_per_bit: 0.0,
+            ..base
+        };
+        assert!(shard_graph(&cfg, &graph, &params, &ideal).is_ok());
     }
 
     #[test]

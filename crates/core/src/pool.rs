@@ -210,9 +210,9 @@ impl PoolCube {
         }
     }
 
-    /// Forces fast-forwarding on/off for this cube (see
+    /// Turns fast-forwarding on/off for this cube (see
     /// [`Neurocube::set_cycle_skip`]).
-    pub fn set_cycle_skip(&mut self, enabled: Option<bool>) {
+    pub fn set_cycle_skip(&mut self, enabled: bool) {
         self.cube.set_cycle_skip(enabled);
     }
 

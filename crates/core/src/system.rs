@@ -12,7 +12,7 @@ use neurocube_pe::ProcessingElement;
 use neurocube_png::layout::NetworkLayout;
 use neurocube_png::{compile_graph, compile_layer, graph_load_weights, LayerProgram, Png};
 use neurocube_png::{program, CompileError, MultiLayerProgram, PngHookup};
-use neurocube_sim::{sparsity_default, Clocked, CycleLoop, StatSource, StatsRegistry};
+use neurocube_sim::{Clocked, CycleLoop, StatSource, StatsRegistry};
 use std::sync::Arc;
 
 /// A network loaded into the cube: its placement, parameters and compiled
@@ -104,9 +104,12 @@ pub struct Neurocube {
     /// exactly one copy of the credit state. Initialized to `u64::MAX`
     /// per node — the "no progress seen" value that never gates.
     progress: Vec<u64>,
-    /// Per-cube override of the fast-forward default (`NEUROCUBE_NO_SKIP`);
-    /// `None` inherits the process default.
-    skip_override: Option<bool>,
+    /// Whether the cycle loop fast-forwards over quiescent stretches
+    /// (on by default; off runs the naive per-cycle oracle).
+    skip: bool,
+    /// Whether the cycle loop prints a per-stage wall-clock breakdown
+    /// after every pass (off by default).
+    stage_profile: bool,
     /// Cumulative fast-forward jumps across all passes run on this cube.
     horizon_jumps: u64,
     /// Cumulative cycles crossed by fast-forward jumps instead of ticking.
@@ -191,7 +194,7 @@ impl Neurocube {
             })
             .collect();
         let nodes = cfg.nodes();
-        let mut cube = Neurocube {
+        Ok(Neurocube {
             cfg,
             mem,
             net,
@@ -200,20 +203,15 @@ impl Neurocube {
             attach_groups,
             now: 0,
             progress: vec![u64::MAX; nodes],
-            skip_override: None,
+            skip: true,
+            stage_profile: false,
             horizon_jumps: 0,
             skipped_cycles: 0,
             faults: None,
             graph_run: None,
             #[cfg(test)]
             pe_order: None,
-        };
-        // Environment default: NEUROCUBE_FAULT_RATE / _SEED / _ECC attach
-        // an injector at construction (explicit `set_fault_config` wins).
-        if let Some(fault_cfg) = FaultConfig::from_env() {
-            cube.set_fault_config(Some(fault_cfg));
-        }
-        Ok(cube)
+        })
     }
 
     /// Attaches (or detaches, with `None`) a deterministic fault injector:
@@ -296,23 +294,28 @@ impl Neurocube {
         self.now
     }
 
-    /// Overrides the process-default fast-forward setting for this cube:
-    /// `Some(true)` forces event-horizon skipping on, `Some(false)` forces
-    /// the naive per-cycle loop (the differential oracle), `None` inherits
-    /// the `NEUROCUBE_NO_SKIP` environment default. Both modes produce
+    /// Selects the fast-forward mode for this cube: `true` (the default)
+    /// enables event-horizon skipping, `false` runs the naive per-cycle
+    /// loop (the differential oracle). Both modes produce
     /// bitwise-identical cycle counts and statistics.
-    pub fn set_cycle_skip(&mut self, enabled: Option<bool>) {
-        self.skip_override = enabled;
+    pub fn set_cycle_skip(&mut self, enabled: bool) {
+        self.skip = enabled;
     }
 
-    /// Selects every PE's zero-operand fast paths: `Some(true)` lets a PE
-    /// skip host work for gated lanes, `Some(false)` forces the dense
-    /// kernels, `None` re-reads the `NEUROCUBE_NO_SPARSITY` environment
-    /// default fresh. The modes are bitwise identical in every observable
-    /// — gated lanes still charge full architectural cost and zero
+    /// Turns the cycle loop's per-stage wall-clock profile on or off (off
+    /// by default; see [`CycleLoop::with_stage_profile`]). Host timing
+    /// only: no simulated observable changes.
+    pub fn set_stage_profile(&mut self, enabled: bool) {
+        self.stage_profile = enabled;
+    }
+
+    /// Selects every PE's zero-operand fast paths: `true` (the default)
+    /// lets a PE skip host work for gated lanes, `false` forces the dense
+    /// kernels. The modes are bitwise identical in every observable —
+    /// gated lanes still charge full architectural cost and zero
     /// operands are the MAC's additive identity (DESIGN.md §13) — so this
-    /// knob only changes host throughput.
-    pub fn set_sparsity(&mut self, sparsity: Option<bool>) {
+    /// setting only changes host throughput.
+    pub fn set_sparsity(&mut self, sparsity: bool) {
         for pe in &mut self.pes {
             pe.set_sparsity(sparsity);
         }
@@ -320,9 +323,7 @@ impl Neurocube {
 
     /// Whether the PEs currently use the zero-operand fast paths.
     pub fn sparsity(&self) -> bool {
-        self.pes
-            .first()
-            .map_or_else(sparsity_default, ProcessingElement::sparsity)
+        self.pes.first().is_none_or(ProcessingElement::sparsity)
     }
 
     /// Fast-forward jumps taken across every pass run on this cube.
@@ -569,10 +570,9 @@ impl Neurocube {
         // dependency order. The kernel's CycleLoop owns the completion
         // check and the stalled-simulation watchdog.
         let exec_start = self.now;
-        let mut pipeline = Self::pipeline();
-        if let Some(enabled) = self.skip_override {
-            pipeline = pipeline.with_skip(enabled);
-        }
+        let mut pipeline = Self::pipeline()
+            .with_skip(self.skip)
+            .with_stage_profile(self.stage_profile);
         pipeline.run(
             self,
             exec_start,
@@ -872,10 +872,9 @@ impl Neurocube {
         let before = self.stats_registry();
 
         let exec_start = self.now;
-        let mut pipeline = Self::pipeline();
-        if let Some(enabled) = self.skip_override {
-            pipeline = pipeline.with_skip(enabled);
-        }
+        let mut pipeline = Self::pipeline()
+            .with_skip(self.skip)
+            .with_stage_profile(self.stage_profile);
         pipeline.run(
             self,
             exec_start,
@@ -1481,7 +1480,7 @@ mod tests {
 
         let run = |skip: bool| {
             let mut cube = Neurocube::new(SystemConfig::paper(true));
-            cube.set_cycle_skip(Some(skip));
+            cube.set_cycle_skip(skip);
             let loaded = cube.load(spec.clone(), params.clone());
             let (out, report) = cube.run_inference(&loaded, &input);
             let cycles: Vec<u64> = report.layers.iter().map(|l| l.cycles).collect();
@@ -1570,7 +1569,7 @@ mod tests {
         let cfg = FaultConfig::uniform(0xFA017, 2e-5);
         let run = |skip: bool| {
             let mut cube = Neurocube::new(SystemConfig::paper(true));
-            cube.set_cycle_skip(Some(skip));
+            cube.set_cycle_skip(skip);
             cube.set_fault_config(Some(cfg.clone()));
             let loaded = cube.load(spec.clone(), params.clone());
             let (out, report) = cube.run_inference(&loaded, &input);
@@ -1736,7 +1735,7 @@ mod tests {
         let input = graph_input();
         let run = |skip: bool| {
             let mut cube = Neurocube::new(SystemConfig::paper(true));
-            cube.set_cycle_skip(Some(skip));
+            cube.set_cycle_skip(skip);
             let loaded = cube.load_graph(&graph, params.clone()).unwrap();
             let (out, report) = cube.run_graph_inference(&loaded, &input);
             let cycles: Vec<u64> = report.layers.iter().map(|l| l.cycles).collect();

@@ -22,9 +22,8 @@
 //! gated-update MAC array could clock-gate it. The PE counts those lanes
 //! (`lanes_gated`) on every fire, and — with no fault lens attached —
 //! skips or mask-iterates them on the host, which is bitwise invisible by
-//! construction. `NEUROCUBE_NO_SPARSITY=1` (or
-//! [`ProcessingElement::set_sparsity`]) disables the host fast paths
-//! while leaving the classification counters on.
+//! construction. [`ProcessingElement::set_sparsity`]`(false)` disables
+//! the host fast paths while leaving the classification counters on.
 
 use crate::cache::PacketCache;
 use crate::config::{PeLayerConfig, StateMode, WeightMode};
@@ -36,7 +35,7 @@ use neurocube_fixed::{
     Q88,
 };
 use neurocube_noc::{NodeId, Packet, PacketKind};
-use neurocube_sim::{sparsity_default, ScopedStats, StatSource};
+use neurocube_sim::{ScopedStats, StatSource};
 use std::collections::VecDeque;
 
 /// Lifetime/layer counters exposed by a PE.
@@ -162,7 +161,7 @@ impl ProcessingElement {
             next_fire_at: 0,
             results: VecDeque::new(),
             done: true,
-            sparsity: sparsity_default(),
+            sparsity: true,
             stats: PeStats::default(),
             faults: None,
             lenient: false,
@@ -176,13 +175,12 @@ impl ProcessingElement {
         self.node
     }
 
-    /// Enables/disables the zero-operand host fast paths: `Some(..)`
-    /// forces, `None` re-resolves the environment default
-    /// (`NEUROCUBE_NO_SPARSITY`, read fresh — never cached). Safe at any
-    /// time, including mid-layer: the fast paths are stateless and every
-    /// observable (results, counters, timing) is identical either way.
-    pub fn set_sparsity(&mut self, sparsity: Option<bool>) {
-        self.sparsity = sparsity.unwrap_or_else(sparsity_default);
+    /// Enables (the default) or disables the zero-operand host fast
+    /// paths. Safe at any time, including mid-layer: the fast paths are
+    /// stateless and every observable (results, counters, timing) is
+    /// identical either way.
+    pub fn set_sparsity(&mut self, sparsity: bool) {
+        self.sparsity = sparsity;
     }
 
     /// Whether the zero-operand host fast paths are enabled.

@@ -83,6 +83,10 @@ pub enum CompileError {
         /// Cubes the cluster provides.
         available: usize,
     },
+    /// The sharding planner was handed a link configuration it cannot
+    /// price (bandwidth not finite and positive, or a negative or
+    /// non-finite latency or energy); holds the link model's reason.
+    InvalidLink(String),
 }
 
 impl fmt::Display for CompileError {
@@ -128,6 +132,7 @@ impl fmt::Display for CompileError {
                 f,
                 "cluster over capacity: placement needs {needed} cubes, {available} available"
             ),
+            CompileError::InvalidLink(reason) => write!(f, "invalid cluster link: {reason}"),
         }
     }
 }

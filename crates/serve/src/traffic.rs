@@ -34,17 +34,6 @@ pub enum LoadProfile {
 }
 
 impl LoadProfile {
-    /// Parses the `NEUROCUBE_SERVE_LOAD` spelling of a profile.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<LoadProfile> {
-        match name {
-            "poisson" => Some(LoadProfile::Poisson),
-            "bursty" => Some(LoadProfile::Bursty),
-            "diurnal" => Some(LoadProfile::Diurnal),
-            _ => None,
-        }
-    }
-
     /// Multiplier applied to the mean inter-arrival gap before request
     /// `i` (deterministic, index-keyed).
     #[must_use]
@@ -127,11 +116,10 @@ impl TrafficSpec {
 }
 
 /// A named trace-driven serving scenario: an arrival shape plus a
-/// priority-tier mix, selectable by name through
-/// `NEUROCUBE_SERVE_SCENARIO` (see [`Scenario::from_env`]).
+/// priority-tier mix, selectable by name (see [`Scenario::parse`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scenario {
-    /// The scenario's `NEUROCUBE_SERVE_SCENARIO` spelling.
+    /// The scenario's name, as [`Scenario::parse`] spells it.
     pub name: &'static str,
     /// Arrival-process shape.
     pub profile: LoadProfile,
@@ -164,7 +152,7 @@ pub const SCENARIOS: [Scenario; 3] = [
 ];
 
 /// A scenario name that matches no preset — the typed error
-/// `NEUROCUBE_SERVE_SCENARIO` parsing returns instead of panicking.
+/// [`Scenario::parse`] returns instead of panicking.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnknownScenario(pub String);
 
@@ -181,7 +169,7 @@ impl fmt::Display for UnknownScenario {
 impl std::error::Error for UnknownScenario {}
 
 impl Scenario {
-    /// Resolves a scenario by its `NEUROCUBE_SERVE_SCENARIO` spelling.
+    /// Resolves a scenario by name.
     ///
     /// # Errors
     ///
@@ -191,20 +179,6 @@ impl Scenario {
             .iter()
             .find(|s| s.name == name)
             .ok_or_else(|| UnknownScenario(name.to_string()))
-    }
-
-    /// Reads `NEUROCUBE_SERVE_SCENARIO`: `Ok(None)` when unset or empty
-    /// (the caller's default applies), `Ok(Some)` on a valid name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownScenario`] when the variable names no preset —
-    /// a typed error, never a panic.
-    pub fn from_env() -> Result<Option<&'static Scenario>, UnknownScenario> {
-        match neurocube_sim::serve_scenario() {
-            None => Ok(None),
-            Some(name) => Scenario::parse(&name).map(Some),
-        }
     }
 }
 

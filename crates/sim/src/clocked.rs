@@ -6,11 +6,9 @@
 //! ([`Clocked::next_event`]), and the loop jumps the clock straight to
 //! the earliest such horizon, letting each stage bulk-charge the skipped
 //! cycles ([`Clocked::skip`]) so that every counter a run reports is
-//! bitwise identical to the naive cycle-by-cycle loop. Setting
-//! `NEUROCUBE_NO_SKIP=1` in the environment disables fast-forward
-//! process-wide, keeping the naive loop alive as a differential oracle.
-
-use std::sync::OnceLock;
+//! bitwise identical to the naive cycle-by-cycle loop. Fast-forward is
+//! on by default; [`CycleLoop::with_skip`]`(false)` keeps the naive loop
+//! alive as a differential oracle.
 
 /// One pipeline stage of a cycle-level simulator.
 ///
@@ -111,24 +109,6 @@ pub struct JumpRecord {
     pub stage: &'static str,
 }
 
-/// True unless the `NEUROCUBE_NO_SKIP` flag is on (see [`crate::env`] for
-/// the one truthiness rule all `NEUROCUBE_*` flags share). Read once per
-/// process: tests that need both modes in one process must use
-/// [`CycleLoop::with_skip`] instead of mutating the environment.
-fn env_skip_enabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    !*DISABLED.get_or_init(|| crate::env::env_flag("NEUROCUBE_NO_SKIP"))
-}
-
-/// True when the `NEUROCUBE_STAGE_PROFILE` flag is on (same rule): every
-/// [`CycleLoop::run`] then accumulates per-stage wall-clock time and
-/// prints a breakdown to stderr when it completes. Costs one `Instant`
-/// pair per stage per cycle while on; a single branch per cycle while off.
-fn stage_profile_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| crate::env::env_flag("NEUROCUBE_STAGE_PROFILE"))
-}
-
 /// Drives a set of [`Clocked`] stages until a completion predicate holds.
 ///
 /// The loop owns the three pieces of bookkeeping every hand-rolled cycle
@@ -137,8 +117,7 @@ fn stage_profile_enabled() -> bool {
 /// order within a cycle; the bus's notion of "current cycle" is whatever
 /// the caller passes as `start` plus the number of completed cycles.
 ///
-/// When fast-forward is enabled (the default, unless `NEUROCUBE_NO_SKIP`
-/// is set), the loop asks every stage for its [`Clocked::next_event`]
+/// When fast-forward is enabled (the default), the loop asks every stage for its [`Clocked::next_event`]
 /// before ticking a cycle. If all stages report a future horizon, the
 /// clock jumps to the earliest one — capped at the next watchdog check
 /// boundary, so completion and progress are sampled at exactly the same
@@ -148,6 +127,9 @@ pub struct CycleLoop<B: ?Sized> {
     stages: Vec<Box<dyn Clocked<B>>>,
     watchdog: Watchdog,
     skip: bool,
+    /// Whether [`CycleLoop::run`] times every stage and prints the
+    /// per-stage breakdown to stderr (see [`CycleLoop::with_stage_profile`]).
+    profile: bool,
     /// Index the next horizon probe starts from. Move-to-front heuristic:
     /// the stage that vetoed the last jump is probed first, so an actively
     /// busy stage (usually the NoC) rejects fast-forward in O(1) per cycle.
@@ -181,13 +163,14 @@ impl<B: ?Sized> Default for CycleLoop<B> {
 }
 
 impl<B: ?Sized> CycleLoop<B> {
-    /// Creates an empty loop with the default [`Watchdog`] and the
-    /// process-default fast-forward setting (`NEUROCUBE_NO_SKIP`).
+    /// Creates an empty loop with the default [`Watchdog`], fast-forward
+    /// on and the stage profile off.
     pub fn new() -> Self {
         CycleLoop {
             stages: Vec::new(),
             watchdog: Watchdog::default(),
-            skip: env_skip_enabled(),
+            skip: true,
+            profile: false,
             probe_from: 0,
             veto_counts: Vec::new(),
             jumps: 0,
@@ -203,11 +186,20 @@ impl<B: ?Sized> CycleLoop<B> {
         self
     }
 
-    /// Overrides the fast-forward setting for this loop, regardless of
-    /// `NEUROCUBE_NO_SKIP`. Tests and differential harnesses use this to
-    /// run both modes inside one process.
+    /// Sets the fast-forward mode for this loop. `false` selects the
+    /// naive per-cycle loop, the differential oracle the skipping loop is
+    /// measured against.
     pub fn with_skip(mut self, enabled: bool) -> Self {
         self.skip = enabled;
+        self
+    }
+
+    /// Turns the stage profile on or off: while on, every
+    /// [`CycleLoop::run`] accumulates per-stage wall-clock time and prints
+    /// a breakdown to stderr when it completes. Costs one `Instant` pair
+    /// per stage per cycle while on; a single branch per cycle while off.
+    pub fn with_stage_profile(mut self, enabled: bool) -> Self {
+        self.profile = enabled;
         self
     }
 
@@ -341,7 +333,7 @@ impl<B: ?Sized> CycleLoop<B> {
         let mut idle_cycles: u64 = 0;
         let mut ticked_since_check: u64 = 0;
         let mut flat_since = start;
-        let profile = stage_profile_enabled();
+        let profile = self.profile;
         let mut stage_nanos = vec![0u64; self.stages.len()];
         let mut probe_nanos = 0u64;
         let mut skip_nanos = 0u64;

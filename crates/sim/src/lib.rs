@@ -20,21 +20,18 @@
 //!   apply.
 //!
 //! The kernel deliberately knows nothing about PEs, PNGs, DRAM or NoCs —
-//! those crates depend on this one, never the reverse.
+//! those crates depend on this one, never the reverse. Nor does it read
+//! the environment: fast-forward and the stage profile are explicit
+//! [`CycleLoop`] settings, and programs parse their knobs at their own
+//! edge and pass the values down.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;
 mod clocked;
-pub mod env;
 mod stats;
 
 pub use batch::BatchRunner;
 pub use clocked::{Clocked, CycleLoop, JumpRecord, Watchdog, EVENT_LOOP_LEASH};
-pub use env::{
-    cluster_link_gbps, cluster_link_ns, cluster_pj_bit, cluster_topology, env_f64, env_flag,
-    env_str, env_u64, serve_audit_rate, serve_load, serve_max_batch, serve_max_delay, serve_pool,
-    serve_scenario, serve_seed, sparsity_default,
-};
 pub use stats::{Histogram, ScopedStats, StatSource, StatsRegistry};

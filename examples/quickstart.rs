@@ -41,26 +41,10 @@ fn main() {
     let (output, report) = cube.run_inference(&loaded, &input);
 
     // 4. The timing simulator is value-accurate: its output is
-    //    bit-identical to the functional fixed-point executor. With a
-    //    fault injector attached (NEUROCUBE_FAULT_RATE > 0) the outputs
-    //    legitimately diverge, so the check only applies to clean runs.
+    //    bit-identical to the functional fixed-point executor.
     let reference = Executor::new(spec, params).predict(&input);
-    if report.fault.is_none() {
-        assert_eq!(output, reference, "simulator must match the reference");
-        println!("cycle-accurate output matches the functional reference bit-for-bit");
-    } else {
-        let changed = output
-            .as_slice()
-            .iter()
-            .zip(reference.as_slice())
-            .filter(|(a, b)| a != b)
-            .count();
-        println!(
-            "fault injection active: {changed}/{} output values differ from the \
-             fault-free reference",
-            reference.as_slice().len()
-        );
-    }
+    assert_eq!(output, reference, "simulator must match the reference");
+    println!("cycle-accurate output matches the functional reference bit-for-bit");
     println!("predicted class: {}", output.argmax());
 
     // 5. Performance statistics, per layer and total.

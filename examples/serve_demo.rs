@@ -6,10 +6,9 @@
 //! cargo run --release -p neurocube-serve --example serve_demo
 //! ```
 //!
-//! Knobs (see `neurocube_sim::env`): `NEUROCUBE_SERVE_SEED`,
-//! `NEUROCUBE_SERVE_LOAD` (poisson | bursty | diurnal),
-//! `NEUROCUBE_SERVE_POOL`, `NEUROCUBE_SERVE_MAX_BATCH`,
-//! `NEUROCUBE_SERVE_MAX_DELAY`.
+//! The run is fixed: trace seed 7, bursty arrivals, and
+//! `ServeConfig::new(4)` (four cubes, batches of up to 8, a 4096-cycle
+//! batching window). Edit the constants below to explore others.
 
 use neurocube::SystemConfig;
 use neurocube_nn::workloads;
@@ -32,11 +31,9 @@ fn main() {
 
     // 2. Generate a deterministic open-loop trace around the pool's
     //    saturation rate: same seed, same trace, bit for bit.
-    let seed = neurocube_sim::serve_seed().unwrap_or(7);
-    let profile = neurocube_sim::serve_load()
-        .and_then(|s| LoadProfile::parse(&s))
-        .unwrap_or(LoadProfile::Bursty);
-    let cfg = ServeConfig::from_env(4);
+    let seed = 7;
+    let profile = LoadProfile::Bursty;
+    let cfg = ServeConfig::new(4);
     let avg_service =
         catalog.entries().map(|e| e.service_cycles).sum::<u64>() as f64 / catalog.len() as f64;
     let mean_gap = avg_service / cfg.pool as f64 * 1.1;

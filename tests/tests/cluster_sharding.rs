@@ -28,12 +28,6 @@ use neurocube_nn::{GraphBuilder, GraphSpec, LayerSpec, Shape, Tensor, INPUT};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 32 for the
-/// standard gate, 512 for `--cluster`), otherwise `default`.
-fn cases(default: u32) -> u32 {
-    neurocube_sim::env_u64("PROPTEST_CASES").map_or(default, |v| v as u32)
-}
-
 /// One generated DAG: a convolutional stem on a 2×8×8 volume, an
 /// optional 2–3-way branch of convolutions merged by a channel concat
 /// (flat volumes cannot concat, so branches stay spatial), then a chain
@@ -137,7 +131,7 @@ fn plan_case(case: &ClusterCase) -> Result<(SystemConfig, ShardedGraph, Tensor),
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(4)))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(4)))]
 
     /// Property 1: sharding is value-exact. The cluster's output equals
     /// the single big-region cube bit for bit, and both pass the golden

@@ -6,103 +6,15 @@
 use neurocube_fixed::Activation;
 use neurocube_nn::{GraphBuilder, GraphSpec, LayerSpec, NetworkSpec, Shape, INPUT};
 use proptest::prelude::*;
-use std::ffi::OsString;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
-static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-/// RAII guard for tests that touch process-global environment
-/// variables. The environment is shared by every thread in a test
-/// binary, so an unguarded set/unset dance races against any parallel
-/// test reading the same names; the guard serializes such tests behind
-/// one mutex, clears the tracked variables on entry (a clean slate
-/// regardless of the invoking shell), and restores their original
-/// values on drop — even when the test panics (a poisoned lock is
-/// re-entered, not propagated, so one failure doesn't cascade).
-///
-/// Only the tracked names may be touched through the guard; [`set`]
-/// and [`unset`] assert it, catching tests that would leak state past
-/// the restore list.
-///
-/// [`set`]: EnvGuard::set
-/// [`unset`]: EnvGuard::unset
-pub struct EnvGuard {
-    _lock: MutexGuard<'static, ()>,
-    snap: EnvSnapshot,
-}
-
-impl EnvGuard {
-    /// Locks the environment, snapshots `names`, and clears them.
-    pub fn capture(names: &[&'static str]) -> EnvGuard {
-        let lock = ENV_LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        EnvGuard {
-            _lock: lock,
-            snap: EnvSnapshot::capture(names),
-        }
-    }
-
-    /// Sets a tracked variable.
-    pub fn set(&self, name: &str, value: &str) {
-        self.snap.set(name, value);
-    }
-
-    /// Unsets a tracked variable.
-    pub fn unset(&self, name: &str) {
-        self.snap.unset(name);
-    }
-}
-
-/// The save/clear/restore half of [`EnvGuard`], without the lock. Only
-/// for scopes that already hold an `EnvGuard` on the same names (the
-/// mutex is not reentrant — a nested `EnvGuard::capture` would
-/// deadlock); the guard's own tests use it to observe restore-on-drop.
-pub struct EnvSnapshot {
-    saved: Vec<(&'static str, Option<OsString>)>,
-}
-
-impl EnvSnapshot {
-    /// Snapshots `names` and clears them.
-    pub fn capture(names: &[&'static str]) -> EnvSnapshot {
-        let saved: Vec<(&'static str, Option<OsString>)> =
-            names.iter().map(|&n| (n, std::env::var_os(n))).collect();
-        for &n in names {
-            std::env::remove_var(n);
-        }
-        EnvSnapshot { saved }
-    }
-
-    fn tracks(&self, name: &str) {
-        assert!(
-            self.saved.iter().any(|(n, _)| *n == name),
-            "environment snapshot does not track {name}; add it to capture()"
-        );
-    }
-
-    /// Sets a tracked variable.
-    pub fn set(&self, name: &str, value: &str) {
-        self.tracks(name);
-        std::env::set_var(name, value);
-    }
-
-    /// Unsets a tracked variable.
-    pub fn unset(&self, name: &str) {
-        self.tracks(name);
-        std::env::remove_var(name);
-    }
-}
-
-impl Drop for EnvSnapshot {
-    fn drop(&mut self) {
-        for (n, v) in &self.saved {
-            match v {
-                Some(v) => std::env::set_var(n, v),
-                None => std::env::remove_var(n),
-            }
-        }
-    }
+/// Proptest case budget: `PROPTEST_CASES` when set to a number
+/// (`ci.sh` pins it per gate), otherwise `default`. A bare
+/// `ProptestConfig::with_cases` would silently ignore the variable.
+pub fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(default)
 }
 
 /// One randomized differential case: a small (cycle-simulation-friendly)

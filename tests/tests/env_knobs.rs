@@ -1,287 +1,164 @@
-//! The environment-knob contract: every `NEUROCUBE_SERVE_*` knob follows
-//! `sim::env`'s documented rules — unset, empty, or unparseable reads as
-//! `None` (the caller's default applies) and bad values return typed
-//! errors or defaults, never a panic — and the construction flag
-//! (`NEUROCUBE_NO_SPARSITY`) is resolved fresh per [`Neurocube`]
-//! construction, never cached process-wide.
+//! The knob contract at the program edge: every `NEUROCUBE_*` knob is
+//! parsed once, by [`Knobs::parse`], under one rule set — unset, empty,
+//! or unparseable reads as unset (the default applies), flags are ON iff
+//! set to something other than `""` or `"0"`, and bad cluster values
+//! return typed errors, never a panic. Below the edge nothing reads the
+//! environment: a cube's modes are plain per-cube settings.
 //!
-//! These accessors read fixed process-global variable names, so every
-//! test here runs behind the shared [`common::EnvGuard`] mutex: the
-//! guard serializes the tests, clears the tracked names on entry and
-//! restores the shell's values on exit, so parallel test threads can
-//! never race on the process environment.
+//! Every test parses literal name/value pairs; none touches the process
+//! environment, so the tests run in parallel with everything else.
 
-mod common;
-
-use common::EnvGuard;
 use neurocube::{Neurocube, SystemConfig};
+use neurocube_bench::Knobs;
 use neurocube_cluster::{ClusterTopology, LinkConfig, LinkConfigError};
-use neurocube_serve::{AuditSampler, LoadProfile, Scenario, ServeConfig, TwoSpeedConfig};
-use neurocube_sim::{
-    cluster_link_gbps, cluster_link_ns, cluster_pj_bit, cluster_topology, serve_audit_rate,
-    serve_load, serve_max_batch, serve_max_delay, serve_pool, serve_scenario, serve_seed,
-    sparsity_default,
-};
+use neurocube_serve::{LoadProfile, Scenario};
+use std::ffi::OsString;
 
-/// A u64 far past `u64::MAX` — overflow must read as `None`, not wrap
-/// or panic.
+/// A u64 far past `u64::MAX` — overflow must read as unset, not wrap or
+/// panic.
 const OVERFLOW: &str = "99999999999999999999999";
 
-#[test]
-fn u64_knobs_parse_or_default_never_panic() {
-    let g = EnvGuard::capture(&[
-        "NEUROCUBE_SERVE_SEED",
-        "NEUROCUBE_SERVE_MAX_BATCH",
-        "NEUROCUBE_SERVE_MAX_DELAY",
-        "NEUROCUBE_SERVE_POOL",
-    ]);
-    // Clean slate: every accessor reads None.
-    assert_eq!(serve_seed(), None);
-    assert_eq!(serve_max_batch(), None);
-    assert_eq!(serve_max_delay(), None);
-    assert_eq!(serve_pool(), None);
-    for (name, read) in [
-        ("NEUROCUBE_SERVE_SEED", serve_seed as fn() -> Option<u64>),
-        ("NEUROCUBE_SERVE_MAX_BATCH", serve_max_batch),
-        ("NEUROCUBE_SERVE_MAX_DELAY", serve_max_delay),
-        ("NEUROCUBE_SERVE_POOL", serve_pool),
-    ] {
-        g.set(name, " 42 ");
-        assert_eq!(read(), Some(42), "{name}: whitespace-tolerant parse");
-        // "0" is a legitimate value under u64 rules, not an off switch.
-        g.set(name, "0");
-        assert_eq!(read(), Some(0), "{name}: zero is a value");
-        g.set(name, "");
-        assert_eq!(read(), None, "{name}: empty reads as unset");
-        g.set(name, "4x2");
-        assert_eq!(read(), None, "{name}: garbage reads as unset");
-        g.set(name, "-3");
-        assert_eq!(read(), None, "{name}: negative reads as unset");
-        g.set(name, OVERFLOW);
-        assert_eq!(read(), None, "{name}: overflow reads as unset");
-        g.unset(name);
-        assert_eq!(read(), None, "{name}: unset reads as unset");
-    }
+/// Parses one knob.
+fn one(name: &str, value: impl Into<OsString>) -> Knobs {
+    Knobs::parse([(name.to_string(), value.into())])
+}
+
+/// Parses several knobs.
+fn many(pairs: &[(&str, &str)]) -> Knobs {
+    Knobs::parse(pairs.iter().copied())
 }
 
 #[test]
-fn audit_rate_follows_f64_rules_and_the_sampler_clamps() {
-    let g = EnvGuard::capture(&["NEUROCUBE_SERVE_AUDIT_RATE"]);
-    assert_eq!(serve_audit_rate(), None);
-    g.set("NEUROCUBE_SERVE_AUDIT_RATE", "0.25");
-    assert_eq!(serve_audit_rate(), Some(0.25));
-    // "0" means "never audit" — a value, not an off switch.
-    g.set("NEUROCUBE_SERVE_AUDIT_RATE", "0");
-    assert_eq!(serve_audit_rate(), Some(0.0));
-    g.set("NEUROCUBE_SERVE_AUDIT_RATE", "");
-    assert_eq!(serve_audit_rate(), None);
-    g.set("NEUROCUBE_SERVE_AUDIT_RATE", "often");
-    assert_eq!(serve_audit_rate(), None);
-    // "1e400" overflows f64 to infinity: the accessor passes it through
-    // (documented f64 rules) and the sampler clamps it to 1.0 — the
-    // knob can demand at most "audit everything", never a panic.
-    g.set("NEUROCUBE_SERVE_AUDIT_RATE", "1e400");
-    let rate = serve_audit_rate().expect("inf is a parseable f64");
-    assert!(rate.is_infinite());
-    assert_eq!(AuditSampler::new(1, rate).rate(), 1.0);
-    // NaN likewise parses; the sampler reads it as "never audit".
-    g.set("NEUROCUBE_SERVE_AUDIT_RATE", "NaN");
-    let rate = serve_audit_rate().expect("NaN is a parseable f64");
-    assert!(rate.is_nan());
-    assert_eq!(AuditSampler::new(1, rate).rate(), 0.0);
-    g.set("NEUROCUBE_SERVE_AUDIT_RATE", "-0.5");
+fn u64_knobs_parse_or_default_never_panic() {
+    const REPS: &str = "NEUROCUBE_BENCH_REPS";
+    assert_eq!(Knobs::default().bench_reps, 3, "clean slate: the default");
     assert_eq!(
-        AuditSampler::new(1, serve_audit_rate().unwrap()).rate(),
-        0.0
+        one(REPS, " 42 ").bench_reps,
+        42,
+        "whitespace-tolerant parse"
     );
+    // "0" is a value, not an off switch; the knob clamps it to one rep.
+    assert_eq!(one(REPS, "0").bench_reps, 1, "zero is a value");
+    for bad in ["", "4x2", "-3", OVERFLOW] {
+        assert_eq!(one(REPS, bad).bench_reps, 3, "{bad:?} reads as unset");
+    }
+    // Past u32 but within u64: saturates, never wraps to zero reps.
+    assert_eq!(one(REPS, "4294967296").bench_reps, u32::MAX);
+}
+
+/// The flag truthiness table, for both flags: unset, empty and `"0"` are
+/// OFF; any other value, `"00"` and non-UTF-8 included, is ON.
+#[test]
+fn construction_flag_defaults_follow_env_flag_rules() {
+    let mut table: Vec<(OsString, bool)> = vec![
+        ("".into(), false),
+        ("0".into(), false),
+        ("00".into(), true),
+        ("yes".into(), true),
+        ("1".into(), true),
+    ];
+    #[cfg(unix)]
+    {
+        use std::os::unix::ffi::OsStringExt;
+        table.push((OsString::from_vec(vec![0xFF, 0xFE]), true));
+    }
+    let unset = Knobs::default();
+    assert!(unset.skip, "NEUROCUBE_NO_SKIP unset: skipping on");
+    assert!(!unset.stage_profile, "NEUROCUBE_STAGE_PROFILE unset: off");
+    for (value, on) in table {
+        let no_skip = one("NEUROCUBE_NO_SKIP", value.clone());
+        assert_eq!(no_skip.skip, !on, "NEUROCUBE_NO_SKIP={value:?}");
+        let profile = one("NEUROCUBE_STAGE_PROFILE", value.clone());
+        assert_eq!(
+            profile.stage_profile, on,
+            "NEUROCUBE_STAGE_PROFILE={value:?}"
+        );
+    }
+}
+
+/// The stale-cache bug class is gone by construction: a cube's modes
+/// are plain per-cube settings with fixed defaults, so nothing set on one
+/// cube leaks into another, and nothing ambient changes a new one.
+#[test]
+fn construction_knobs_resolve_fresh_per_cube_never_cached() {
+    let cfg = SystemConfig::paper(true);
+    let mut first = Neurocube::new(cfg.clone());
+    assert!(first.sparsity(), "sparsity fast paths on by default");
+    assert!(first.fault_config().is_none(), "no injector by default");
+    first.set_sparsity(false);
+    first.set_cycle_skip(false);
+    assert!(!first.sparsity());
+
+    // A cube built after another was reconfigured starts from the
+    // defaults, not from a cached copy of the other's settings.
+    let mut second = Neurocube::new(cfg);
+    assert!(second.sparsity());
+    assert!(second.fault_config().is_none());
+    second.set_sparsity(true);
+    assert!(!first.sparsity(), "settings never cross cubes");
 }
 
 #[test]
 fn scenario_resolution_returns_typed_errors_never_panics() {
-    let g = EnvGuard::capture(&["NEUROCUBE_SERVE_SCENARIO"]);
-    assert_eq!(serve_scenario(), None);
-    assert_eq!(Scenario::from_env(), Ok(None), "unset: the default applies");
-    g.set("NEUROCUBE_SERVE_SCENARIO", "");
-    assert_eq!(Scenario::from_env(), Ok(None), "empty: the default applies");
-    g.set("NEUROCUBE_SERVE_SCENARIO", "diurnal");
-    let s = Scenario::from_env()
-        .expect("valid name resolves")
-        .expect("to a preset");
+    let s = Scenario::parse("diurnal").expect("valid name resolves");
     assert_eq!(s.name, "diurnal");
     assert_eq!(s.profile, LoadProfile::Diurnal);
-    g.set("NEUROCUBE_SERVE_SCENARIO", "weekend");
-    let err = Scenario::from_env().expect_err("unknown name is a typed error");
+    let err = Scenario::parse("weekend").expect_err("unknown name is a typed error");
     assert_eq!(err.0, "weekend");
     assert_eq!(
         err.to_string(),
         "unknown serving scenario \"weekend\" (valid: steady, diurnal, rush)"
     );
     // Scenario names are exact spellings, not fuzzy matches.
-    g.set("NEUROCUBE_SERVE_SCENARIO", "Diurnal");
-    assert!(Scenario::from_env().is_err());
-}
-
-#[test]
-fn serve_load_is_a_string_knob_validated_downstream() {
-    let g = EnvGuard::capture(&["NEUROCUBE_SERVE_LOAD"]);
-    assert_eq!(serve_load(), None);
-    g.set("NEUROCUBE_SERVE_LOAD", "bursty");
-    assert_eq!(serve_load().as_deref(), Some("bursty"));
-    assert_eq!(LoadProfile::parse("bursty"), Some(LoadProfile::Bursty));
-    // The accessor does not validate: unknown profiles pass through and
-    // the serving layer rejects them at configuration time.
-    g.set("NEUROCUBE_SERVE_LOAD", "hurricane");
-    assert_eq!(serve_load().as_deref(), Some("hurricane"));
-    assert_eq!(LoadProfile::parse("hurricane"), None);
-    g.set("NEUROCUBE_SERVE_LOAD", "");
-    assert_eq!(serve_load(), None);
-}
-
-#[test]
-fn serve_config_from_env_overrides_defaults() {
-    let g = EnvGuard::capture(&[
-        "NEUROCUBE_SERVE_POOL",
-        "NEUROCUBE_SERVE_MAX_BATCH",
-        "NEUROCUBE_SERVE_MAX_DELAY",
-    ]);
-    assert_eq!(
-        ServeConfig::from_env(4),
-        ServeConfig::new(4),
-        "clean environment: pure defaults"
-    );
-    g.set("NEUROCUBE_SERVE_POOL", "6");
-    g.set("NEUROCUBE_SERVE_MAX_BATCH", "16");
-    g.set("NEUROCUBE_SERVE_MAX_DELAY", "999");
-    let cfg = ServeConfig::from_env(4);
-    assert_eq!(cfg.pool, 6);
-    assert_eq!(cfg.max_batch, 16);
-    assert_eq!(cfg.max_delay, 999);
-    // Unparseable overrides fall back to the defaults, never panic.
-    g.set("NEUROCUBE_SERVE_POOL", "six");
-    g.set("NEUROCUBE_SERVE_MAX_BATCH", OVERFLOW);
-    g.set("NEUROCUBE_SERVE_MAX_DELAY", "");
-    assert_eq!(ServeConfig::from_env(4), ServeConfig::new(4));
-}
-
-#[test]
-fn twospeed_config_from_env_overrides_defaults() {
-    let g = EnvGuard::capture(&["NEUROCUBE_SERVE_SEED", "NEUROCUBE_SERVE_AUDIT_RATE"]);
-    let cfg = TwoSpeedConfig::from_env(7, 0.02);
-    assert_eq!(cfg.audit_seed, 7);
-    assert_eq!(cfg.audit_rate, 0.02);
-    assert_eq!(cfg.defect_cycles, 0, "no environment knob injects defects");
-    g.set("NEUROCUBE_SERVE_SEED", "99");
-    g.set("NEUROCUBE_SERVE_AUDIT_RATE", "0.5");
-    let cfg = TwoSpeedConfig::from_env(7, 0.02);
-    assert_eq!(cfg.audit_seed, 99);
-    assert_eq!(cfg.audit_rate, 0.5);
-    // Garbage falls back to the given defaults.
-    g.set("NEUROCUBE_SERVE_SEED", OVERFLOW);
-    g.set("NEUROCUBE_SERVE_AUDIT_RATE", "half");
-    let cfg = TwoSpeedConfig::from_env(7, 0.02);
-    assert_eq!((cfg.audit_seed, cfg.audit_rate), (7, 0.02));
-}
-
-#[test]
-fn construction_flag_defaults_follow_env_flag_rules() {
-    let name = "NEUROCUBE_NO_SPARSITY";
-    let g = EnvGuard::capture(&[name]);
-    // Clean slate: sparsity fast paths on.
-    assert!(sparsity_default());
-    g.set(name, "1");
-    assert!(!sparsity_default(), "{name}=1 flips the default");
-    // Flag rules: "0" and empty read as unset, anything else is on.
-    g.set(name, "0");
-    assert!(sparsity_default(), "{name}=0 reads as unset");
-    g.set(name, "");
-    assert!(sparsity_default(), "{name}= (empty) reads as unset");
-    g.set(name, "yes");
-    assert!(!sparsity_default(), "{name}=yes reads as set");
-    g.unset(name);
-    assert!(sparsity_default(), "{name} unset restores the default");
-}
-
-/// The PR 9 stale-cache regression: the construction knobs used to be
-/// resolved once per process through `OnceLock`, so a cube built after
-/// the environment changed (or after an `EnvGuard` restore) silently kept
-/// the first-ever value. Resolution is now per construction — each
-/// `Neurocube::new` and each `set_sparsity(None)` re-reads the
-/// environment fresh — with explicit `set_sparsity(Some(..))` overrides
-/// authoritative.
-#[test]
-fn construction_knobs_resolve_fresh_per_cube_never_cached() {
-    let g = EnvGuard::capture(&["NEUROCUBE_NO_SPARSITY"]);
-    let cfg = SystemConfig::paper(true);
-    // Prime any would-be cache with the clean-slate default.
-    let first = Neurocube::new(cfg.clone());
-    assert!(first.sparsity());
-
-    g.set("NEUROCUBE_NO_SPARSITY", "1");
-    // Cubes built before the change keep their resolved value...
-    assert!(first.sparsity());
-    // ...and a cube built after it sees the new value, not a cache.
-    let mut second = Neurocube::new(cfg.clone());
-    assert!(!second.sparsity());
-
-    // Explicit overrides are authoritative regardless of the environment.
-    second.set_sparsity(Some(true));
-    assert!(second.sparsity());
-
-    // set_sparsity(None) re-reads the environment fresh — it does not
-    // restore a construction-time snapshot.
-    g.unset("NEUROCUBE_NO_SPARSITY");
-    let mut third = Neurocube::new(cfg);
-    third.set_sparsity(Some(false));
-    g.set("NEUROCUBE_NO_SPARSITY", "1");
-    third.set_sparsity(None);
-    assert!(
-        !third.sparsity(),
-        "set_sparsity(None) must re-read the live environment"
-    );
+    assert!(Scenario::parse("Diurnal").is_err());
+    assert!(Scenario::parse("").is_err());
 }
 
 #[test]
 fn cluster_knobs_follow_env_rules_and_resolve_fresh_per_link_config() {
-    let g = EnvGuard::capture(&[
-        "NEUROCUBE_CLUSTER_TOPOLOGY",
-        "NEUROCUBE_CLUSTER_LINK_GBPS",
-        "NEUROCUBE_CLUSTER_LINK_NS",
-        "NEUROCUBE_CLUSTER_PJ_BIT",
-    ]);
-    // Clean slate: every accessor reads None and `from_env` is exactly
-    // the HMC-class ring default.
-    assert_eq!(cluster_topology(), None);
-    assert_eq!(cluster_link_gbps(), None);
-    assert_eq!(cluster_link_ns(), None);
-    assert_eq!(cluster_pj_bit(), None);
-    assert_eq!(LinkConfig::from_env(8), Ok(LinkConfig::hmc_ext(8)));
+    // Clean slate: every field reads None and the link is exactly the
+    // HMC-class ring default.
+    let clean = Knobs::default();
+    assert_eq!(clean.cluster_topology, None);
+    assert_eq!(clean.cluster_link_gbps, None);
+    assert_eq!(clean.cluster_link_ns, None);
+    assert_eq!(clean.cluster_pj_bit, None);
+    assert_eq!(clean.link(8), Ok(LinkConfig::hmc_ext(8)));
 
     // f64 knobs: whitespace-tolerant parse, garbage and empty read as
     // unset (the default survives), never a panic.
+    type Field = fn(&Knobs) -> Option<f64>;
     for (name, read) in [
         (
             "NEUROCUBE_CLUSTER_LINK_GBPS",
-            cluster_link_gbps as fn() -> Option<f64>,
+            (|k| k.cluster_link_gbps) as Field,
         ),
-        ("NEUROCUBE_CLUSTER_LINK_NS", cluster_link_ns),
-        ("NEUROCUBE_CLUSTER_PJ_BIT", cluster_pj_bit),
+        ("NEUROCUBE_CLUSTER_LINK_NS", |k| k.cluster_link_ns),
+        ("NEUROCUBE_CLUSTER_PJ_BIT", |k| k.cluster_pj_bit),
     ] {
-        g.set(name, " 2.5 ");
-        assert_eq!(read(), Some(2.5), "{name}: whitespace-tolerant parse");
-        g.set(name, "fast");
-        assert_eq!(read(), None, "{name}: garbage reads as unset");
-        g.set(name, "");
-        assert_eq!(read(), None, "{name}: empty reads as unset");
-        g.unset(name);
+        assert_eq!(
+            read(&one(name, " 2.5 ")),
+            Some(2.5),
+            "{name}: whitespace-tolerant parse"
+        );
+        assert_eq!(
+            read(&one(name, "fast")),
+            None,
+            "{name}: garbage reads as unset"
+        );
+        assert_eq!(read(&one(name, "")), None, "{name}: empty reads as unset");
     }
 
-    // The string topology knob passes through; LinkConfig validates it.
-    g.set("NEUROCUBE_CLUSTER_TOPOLOGY", "mesh8x2");
-    assert_eq!(cluster_topology().as_deref(), Some("mesh8x2"));
-    g.set("NEUROCUBE_CLUSTER_LINK_GBPS", "10");
-    g.set("NEUROCUBE_CLUSTER_LINK_NS", "250");
-    g.set("NEUROCUBE_CLUSTER_PJ_BIT", "3.5");
-    let link = LinkConfig::from_env(16).expect("valid knobs");
+    // The string topology knob passes through; the link resolves it
+    // against the cube count.
+    let knobs = many(&[
+        ("NEUROCUBE_CLUSTER_TOPOLOGY", "mesh8x2"),
+        ("NEUROCUBE_CLUSTER_LINK_GBPS", "10"),
+        ("NEUROCUBE_CLUSTER_LINK_NS", "250"),
+        ("NEUROCUBE_CLUSTER_PJ_BIT", "3.5"),
+    ]);
+    assert_eq!(knobs.cluster_topology.as_deref(), Some("mesh8x2"));
+    let link = knobs.link(16).expect("valid knobs");
     assert_eq!(
         link.topology,
         ClusterTopology::Mesh {
@@ -293,20 +170,23 @@ fn cluster_knobs_follow_env_rules_and_resolve_fresh_per_link_config() {
     assert_eq!(link.latency_ns, 250.0);
     assert_eq!(link.pj_per_bit, 3.5);
 
-    // Fresh per construction, never cached: the same call after the
-    // guard mutates the environment sees the new values immediately.
-    g.set("NEUROCUBE_CLUSTER_TOPOLOGY", "ring");
-    g.set("NEUROCUBE_CLUSTER_LINK_GBPS", "40");
-    let again = LinkConfig::from_env(16).expect("valid knobs");
-    assert_eq!(again.topology, ClusterTopology::Ring(16));
-    assert_eq!(again.bandwidth_gbps, 40.0);
+    // Each call builds a fresh link for its cube count.
+    let ring = many(&[
+        ("NEUROCUBE_CLUSTER_TOPOLOGY", "ring"),
+        ("NEUROCUBE_CLUSTER_LINK_GBPS", "40"),
+    ]);
+    assert_eq!(ring.link(16).unwrap().topology, ClusterTopology::Ring(16));
+    assert_eq!(ring.link(4).unwrap().topology, ClusterTopology::Ring(4));
 
     // Unparseable floats read as unset, so the defaults apply; zero is a
     // legitimate latency and energy ("ideal" and "free" links).
-    g.set("NEUROCUBE_CLUSTER_LINK_GBPS", "warp");
-    g.set("NEUROCUBE_CLUSTER_LINK_NS", "0");
-    g.set("NEUROCUBE_CLUSTER_PJ_BIT", "0");
-    let link = LinkConfig::from_env(4).expect("valid knobs");
+    let link = many(&[
+        ("NEUROCUBE_CLUSTER_LINK_GBPS", "warp"),
+        ("NEUROCUBE_CLUSTER_LINK_NS", "0"),
+        ("NEUROCUBE_CLUSTER_PJ_BIT", "0"),
+    ])
+    .link(4)
+    .expect("valid knobs");
     assert_eq!(link.bandwidth_gbps, 40.0);
     assert_eq!((link.latency_ns, link.pj_per_bit), (0.0, 0.0));
 }
@@ -321,7 +201,6 @@ fn cluster_knobs_reject_out_of_range_values_with_typed_errors() {
     const GBPS: &str = "NEUROCUBE_CLUSTER_LINK_GBPS";
     const NS: &str = "NEUROCUBE_CLUSTER_LINK_NS";
     const PJ: &str = "NEUROCUBE_CLUSTER_PJ_BIT";
-    let g = EnvGuard::capture(&[TOPOLOGY, GBPS, NS, PJ]);
     for (name, value, want) in [
         (TOPOLOGY, "torus", Topology("torus".into())),
         (TOPOLOGY, "mesh1x2", Topology("mesh1x2".into())),
@@ -334,26 +213,10 @@ fn cluster_knobs_reject_out_of_range_values_with_typed_errors() {
         (PJ, "-0.5", Energy(-0.5)),
         (PJ, "NaN", Energy(f64::NAN)),
     ] {
-        g.set(name, value);
-        let err = LinkConfig::from_env(4).expect_err(&format!("{name}={value} must be rejected"));
+        let err = one(name, value)
+            .link(4)
+            .expect_err(&format!("{name}={value} must be rejected"));
         // Debug text compares NaN payloads, which `==` never matches.
         assert_eq!(format!("{err:?}"), format!("{want:?}"), "{name}={value}");
-        g.unset(name);
     }
-}
-
-#[test]
-fn guard_restores_the_invoking_shells_values() {
-    let outer = EnvGuard::capture(&["NEUROCUBE_SERVE_SEED"]);
-    outer.set("NEUROCUBE_SERVE_SEED", "123");
-    {
-        // A nested snapshot (under the same lock — the mutex is not
-        // reentrant) sees the outer value, clears it, and restores it
-        // on drop.
-        let inner = common::EnvSnapshot::capture(&["NEUROCUBE_SERVE_SEED"]);
-        assert_eq!(serve_seed(), None, "capture clears tracked names");
-        inner.set("NEUROCUBE_SERVE_SEED", "456");
-        assert_eq!(serve_seed(), Some(456));
-    }
-    assert_eq!(serve_seed(), Some(123), "drop restores the outer value");
 }

@@ -24,24 +24,18 @@ use neurocube_sim::BatchRunner;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 32 for the
-/// standard gate, 512 for `--compile`), otherwise `default`.
-fn cases(default: u32) -> u32 {
-    neurocube_sim::env_u64("PROPTEST_CASES").map_or(default, |v| v as u32)
-}
-
 fn run(case: &GraphCase, skip: bool, pipelined: bool) -> GraphRunOutput {
     run_graph_mode(
         SystemConfig::paper(case.dup),
         &case.graph,
         case.seed,
-        Some(skip),
+        skip,
         pipelined,
     )
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(8)))]
 
     /// Property 1: compiled-pipelined execution is value-exact against
     /// the per-layer replay baseline, phase by phase.
@@ -69,10 +63,10 @@ proptest! {
     fn linear_embedding_matches_linear_runner(case in common::diff_case()) {
         let cfg = SystemConfig::paper(case.dup);
         let graph = case.net.to_graph();
-        let piped = run_graph_mode(cfg.clone(), &graph, case.seed, Some(true), true);
+        let piped = run_graph_mode(cfg.clone(), &graph, case.seed, true, true);
         let params = case.net.init_params(case.seed, 0.25);
         let mut cube = neurocube::Neurocube::new(cfg);
-        cube.set_cycle_skip(Some(true));
+        cube.set_cycle_skip(true);
         let loaded = cube.load(case.net.clone(), params);
         let input = neurocube_bench::ramp_input(&case.net);
         let (output, report) = cube.run_inference(&loaded, &input);
@@ -114,7 +108,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(4)))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(4)))]
 
     /// Property 4: graph runs are batch/serial deterministic — the same
     /// case on `BatchRunner` threads is bitwise identical to a serial
@@ -171,10 +165,10 @@ fn pipelining_beats_replay_on_toy_graphs() {
     ] {
         let mut cfg = SystemConfig::paper(true);
         cfg.programming = Some(neurocube::ProgrammingModel::typical());
-        let piped = run_graph_mode(cfg.clone(), &graph, 7, Some(true), true)
+        let piped = run_graph_mode(cfg.clone(), &graph, 7, true, true)
             .report
             .total_cycles();
-        let replay = run_graph_mode(cfg, &graph, 7, Some(true), false)
+        let replay = run_graph_mode(cfg, &graph, 7, true, false)
             .report
             .total_cycles();
         assert!(

@@ -1,13 +1,11 @@
 //! Differential properties for the struct-of-arrays PE datapath.
 //!
-//! The zero-operand fast paths (`NEUROCUBE_NO_SPARSITY=0`, the default)
-//! must be *observationally invisible*: for random multi-layer networks
-//! whose operand streams are dense with real zeros, the full statistics
-//! registry, output tensor and cycle counts are compared bitwise between
-//! sparsity on and off, with and without fault injection. The mode is
-//! selected through [`Neurocube::set_sparsity`], not the environment
-//! variable: tests run multithreaded, so mutating it mid-run would race
-//! other suites.
+//! The zero-operand fast paths (on by default) must be *observationally
+//! invisible*: for random multi-layer networks whose operand streams are
+//! dense with real zeros, the full statistics registry, output tensor and
+//! cycle counts are compared bitwise between sparsity on and off, with
+//! and without fault injection. The mode is selected per cube through
+//! [`Neurocube::set_sparsity`].
 //!
 //! The kernel-level half of the contract rides in the same binary: the
 //! lane kernels are driven against [`MacUnit`] step-for-step across the
@@ -62,12 +60,6 @@ fn assert_identical(a: &Observables, b: &Observables, what: &str) -> Result<(), 
     Ok(())
 }
 
-/// Case budget: `PROPTEST_CASES` when set (`ci.sh` pins 32 for the
-/// standard gate, 512 for `--sparsity`), otherwise `default`.
-fn cases(default: u32) -> u32 {
-    neurocube_sim::env_u64("PROPTEST_CASES").map_or(default, |v| v as u32)
-}
-
 // ---------------------------------------------------------------------------
 // Sparsity fast paths: zero-operand skipping is observationally invisible.
 // ---------------------------------------------------------------------------
@@ -75,7 +67,7 @@ fn cases(default: u32) -> u32 {
 /// Runs `case` with the PE zero-operand fast paths pinned and the operand
 /// stream seeded with real zeros: every third weight and every other
 /// input pixel are zeroed, so the zero-lane classification and skip paths
-/// genuinely fire on every case. Skipping stays on process default — the
+/// genuinely fire on every case. Skipping stays at its default (on) — the
 /// skip/naive axis has its own suite (`skip_equivalence.rs`).
 fn run_sparsity_variant(
     case: &DiffCase,
@@ -92,7 +84,7 @@ fn run_sparsity_variant(
         }
     }
     let mut cube = Neurocube::new(cfg);
-    cube.set_sparsity(Some(sparsity));
+    cube.set_sparsity(sparsity);
     cube.set_fault_config(fault);
     let loaded = cube.load(case.net.clone(), params);
     let s = case.net.input_shape();
@@ -116,7 +108,7 @@ fn run_sparsity_variant(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(12)))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(12)))]
 
     /// Sparsity on vs off is bitwise identical in every observable —
     /// full registry included — on random nets whose operand streams are
@@ -223,7 +215,7 @@ fn boundary_operand() -> impl Strategy<Value = i16> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases(64)))]
 
     /// `accumulate_wide_lanes` matches `MacUnit::accumulate` (Wide32) bit
     /// for bit after *every* step of a boundary-biased operand sequence —
